@@ -155,10 +155,9 @@ int main(int argc, char** argv) {
   table.Print();
   harness.SetPrimaryStage("tokyo.fleet" +
                           std::to_string(fleet_sizes.back()) + ".total");
-  harness.SetLabel("dataset", "Tokyo");
   if (last_registry != nullptr) {
     benchutil::EmitMetricsJson(*last_registry, nullptr, last_watchdog.get(),
-                               "BENCH_fleet_serving_metrics.json");
+                               "metrics_fleet.json");
     benchutil::EmitOpenMetrics(*last_registry);
   }
   harness.WriteReport();

@@ -6,7 +6,7 @@
 //
 // Runs on the BenchHarness: each component is a stage of per-call latency
 // samples (VDRIFT_BENCH_REPEATS scales how many), reported with
-// p50/p90/p99 and fps in BENCH_micro_components.json.
+// p50/p90/p99 in the micro_components ledger record.
 
 #include <memory>
 #include <string>
@@ -70,7 +70,6 @@ int main() {
     dataset = harness.config().dataset_filter;
   }
   auto bench = benchutil::BuildWorkbench(dataset, options).ValueOrDie();
-  harness.SetLabel("dataset", dataset);
 
   video::Frame frame = video::GenerateFrames(bench->dataset.segments[0].spec,
                                              1, bench->dataset.image_size,
@@ -155,7 +154,8 @@ int main() {
 
   harness.SetPrimaryStage("di_observe");
   benchutil::PrintMetricsTable(harness.registry());
-  benchutil::EmitMetricsJson(obs::Global(), nullptr, "metrics_micro.json");
+  benchutil::EmitMetricsJson(obs::Global(), nullptr, nullptr,
+                             "metrics_micro.json");
   harness.WriteReport();
   return 0;
 }

@@ -7,8 +7,8 @@
 // magnitude faster overall. Absolute values differ at CPU scale; the
 // orders-of-magnitude gap is the reproduced shape.
 //
-// Runs on the BenchHarness: VDRIFT_BENCH_{SMOKE,DATASET,SEED,JSON} steer
-// the run and a BENCH_table8_selection_time.json report is written;
+// Runs on the BenchHarness: VDRIFT_BENCH_{SMOKE,DATASET,SEED,LEDGER} steer
+// the run and one table8_selection_time ledger record is appended;
 // VDRIFT_METRICS_JSON overrides the metrics report path.
 
 #include <cstdio>
@@ -131,7 +131,8 @@ int main() {
   }
   table.Print();
   benchutil::PrintMetricsTable(obs::Global());
-  benchutil::EmitMetricsJson(obs::Global(), nullptr, "metrics_table8.json");
+  benchutil::EmitMetricsJson(obs::Global(), nullptr, nullptr,
+                             "metrics_table8.json");
   harness.WriteReport();
   return 0;
 }

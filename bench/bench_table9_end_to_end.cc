@@ -7,8 +7,8 @@
 // faster than ODIN, ~4x faster than YOLO, an order of magnitude faster
 // than Mask R-CNN; the same ordering is the reproduced shape here.
 //
-// Runs on the BenchHarness: VDRIFT_BENCH_{SMOKE,DATASET,SEED,JSON} steer
-// the run and a BENCH_table9_end_to_end.json report is written. Each
+// Runs on the BenchHarness: VDRIFT_BENCH_{SMOKE,DATASET,SEED,LEDGER} steer
+// the run and one table9_end_to_end ledger record is appended. Each
 // system contributes an `<ds>.<system>.total` stage; the drift-aware
 // pipelines additionally import their per-frame detect/select/query
 // histograms as `<ds>.<system>.{detect,select,query}` stages.

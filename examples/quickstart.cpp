@@ -87,7 +87,7 @@ int main() {
   std::printf("DI observe latency over %lld frames: p50=%.6fs p99=%.6fs\n",
               static_cast<long long>(di.count), di.Quantile(0.5),
               di.Quantile(0.99));
-  Status written = obs::WriteMetricsJson(obs::Global(), &episodes,
+  Status written = obs::WriteMetricsJson(obs::Global(), &episodes, nullptr,
                                          "metrics_quickstart.json");
   if (written.ok()) {
     std::printf("metrics report written to metrics_quickstart.json "

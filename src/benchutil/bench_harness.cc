@@ -3,12 +3,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <fstream>
 
 #include "common/logging.h"
-#include "obs/json.h"
 #include "obs/timer.h"
 #include "obs/trace_log.h"
+#include "runtime/parallel.h"
 
 namespace vdrift::benchutil {
 
@@ -70,11 +69,6 @@ void MergeSnapshot(obs::Histogram::Snapshot* into,
   if (from.max > into->max) into->max = from.max;
 }
 
-double StageFps(const obs::Histogram::Snapshot& snap) {
-  if (snap.count == 0 || snap.sum <= 0.0) return 0.0;
-  return static_cast<double>(snap.count) / snap.sum;
-}
-
 /// The headline throughput: an explicit override wins, else the primary
 /// stage's fps, else the fps of the busiest stage.
 double HeadlineThroughput(
@@ -92,7 +86,10 @@ double HeadlineThroughput(
       }
     }
   }
-  return headline != nullptr ? StageFps(*headline) : 0.0;
+  if (headline == nullptr || headline->count == 0 || headline->sum <= 0.0) {
+    return 0.0;
+  }
+  return static_cast<double>(headline->count) / headline->sum;
 }
 
 }  // namespace
@@ -134,18 +131,15 @@ BenchHarness::BenchHarness(const std::string& name) {
       "VDRIFT_BENCH_SEED", static_cast<long>(config_.seed)));
   config_.dataset_filter =
       EnvStringOr("VDRIFT_BENCH_DATASET", config_.dataset_filter);
-  config_.json_path =
-      EnvStringOr("VDRIFT_BENCH_JSON", "BENCH_" + name + ".json");
-  std::string ledger = EnvStringOr("VDRIFT_BENCH_LEDGER", "");
-  if (!ledger.empty()) {
-    // A .jsonl path is the ledger file itself; anything else is a
-    // directory holding one ledger per bench.
-    const std::string suffix = ".jsonl";
-    bool is_file = ledger.size() > suffix.size() &&
-                   ledger.compare(ledger.size() - suffix.size(),
-                                  suffix.size(), suffix) == 0;
-    config_.ledger_path = is_file ? ledger : ledger + "/" + name + ".jsonl";
-  }
+  // A .jsonl path is the ledger file itself; anything else is a directory
+  // holding one ledger per bench.
+  const std::string suffix = ".jsonl";
+  std::string ledger =
+      EnvStringOr("VDRIFT_BENCH_LEDGER", "bench_" + name + suffix);
+  bool is_file = ledger.size() > suffix.size() &&
+                 ledger.compare(ledger.size() - suffix.size(), suffix.size(),
+                                suffix) == 0;
+  config_.ledger_path = is_file ? ledger : ledger + "/" + name + suffix;
 }
 
 bool BenchHarness::ShouldRunDataset(const std::string& dataset) const {
@@ -198,11 +192,6 @@ void BenchHarness::ImportStage(const std::string& stage,
   MergeSnapshot(&imported_[stage], snapshot);
 }
 
-void BenchHarness::SetLabel(const std::string& key,
-                            const std::string& value) {
-  labels_[key] = value;
-}
-
 void BenchHarness::SetPrimaryStage(const std::string& stage) {
   primary_stage_ = stage;
 }
@@ -233,106 +222,6 @@ const std::vector<double>& BenchHarness::StageSamples(
   return it == samples_.end() ? kEmpty : it->second;
 }
 
-std::string BenchHarness::ReportJson() const {
-  std::map<std::string, obs::Histogram::Snapshot> stages = MergedStages();
-
-  auto global_counters = obs::Global().Counters();
-  int64_t flops_total = 0;
-  int64_t bytes_total = 0;
-  for (const auto& [name, value] : global_counters) {
-    if (name.rfind("vdrift.ops.", 0) != 0) continue;
-    if (name.size() >= 6 && name.compare(name.size() - 6, 6, ".flops") == 0) {
-      flops_total += value;
-    } else if (name.size() >= 6 &&
-               name.compare(name.size() - 6, 6, ".bytes") == 0) {
-      bytes_total += value;
-    }
-  }
-
-  double throughput =
-      HeadlineThroughput(stages, primary_stage_, throughput_override_);
-
-  std::string out = "{";
-  out += "\"bytes_total\":" + std::to_string(bytes_total);
-  out += ",\"config\":{";
-  out += "\"dataset_filter\":\"" + obs::json::Escape(config_.dataset_filter) +
-         "\"";
-  out += ",\"repeats\":" + std::to_string(config_.repeats);
-  out += ",\"seed\":" + std::to_string(config_.seed);
-  out += std::string(",\"smoke\":") + (config_.smoke ? "true" : "false");
-  out += ",\"warmup\":" + std::to_string(config_.warmup);
-  out += "}";
-  out += ",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : global_counters) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + obs::json::Escape(name) + "\":" + std::to_string(value);
-  }
-  out += "}";
-  out += ",\"flops_total\":" + std::to_string(flops_total);
-  out += ",\"git_rev\":\"" + obs::json::Escape(GitRevision()) + "\"";
-  out += ",\"kernels\":{";
-  first = true;
-  for (const auto& [name, kernel] : CollectKernelStats(obs::Global())) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + obs::json::Escape(name) + "\":{";
-    out += "\"bytes\":" + std::to_string(kernel.bytes);
-    out += ",\"calls\":" + std::to_string(kernel.calls);
-    out += ",\"flops\":" + std::to_string(kernel.flops);
-    out += ",\"seconds\":" + obs::json::FormatDouble(kernel.seconds);
-    out += "}";
-  }
-  out += "}";
-  out += ",\"labels\":{";
-  first = true;
-  for (const auto& [key, value] : labels_) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + obs::json::Escape(key) + "\":\"" + obs::json::Escape(value) +
-           "\"";
-  }
-  out += "}";
-  out += ",\"machine\":" + MachineFingerprint::Detect().ToJson();
-  out += ",\"name\":\"" + obs::json::Escape(config_.name) + "\"";
-  out += ",\"stages\":{";
-  first = true;
-  for (const auto& [name, snap] : stages) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + obs::json::Escape(name) + "\":{";
-    out += "\"count\":" + std::to_string(snap.count);
-    out += ",\"fps\":" + obs::json::FormatDouble(StageFps(snap));
-    // Shape keys only exist when the stage recorded something: a 0-count
-    // stage's "p99 = 0" would be indistinguishable from a real 0s p99.
-    if (snap.count > 0) {
-      out += ",\"max\":" + obs::json::FormatDouble(snap.max);
-      out += ",\"mean\":" + obs::json::FormatDouble(snap.Mean());
-      out += ",\"min\":" + obs::json::FormatDouble(snap.min);
-      out += ",\"p50\":" + obs::json::FormatDouble(snap.Quantile(0.50));
-      out += ",\"p90\":" + obs::json::FormatDouble(snap.Quantile(0.90));
-      out += ",\"p99\":" + obs::json::FormatDouble(snap.Quantile(0.99));
-    }
-    // Raw repeat-level wall times, in execution order: the unit the
-    // statistical gate bootstraps over. Absent for histogram-only stages.
-    if (const std::vector<double>& raw = StageSamples(name); !raw.empty()) {
-      out += ",\"samples\":[";
-      for (size_t i = 0; i < raw.size(); ++i) {
-        if (i > 0) out += ",";
-        out += obs::json::FormatDouble(raw[i]);
-      }
-      out += "]";
-    }
-    out += ",\"sum_seconds\":" + obs::json::FormatDouble(snap.sum);
-    out += "}";
-  }
-  out += "}";
-  out += ",\"throughput_fps\":" + obs::json::FormatDouble(throughput);
-  out += "}";
-  return out;
-}
-
 LedgerRecord BenchHarness::MakeLedgerRecord() const {
   LedgerRecord record;
   record.bench = config_.name;
@@ -347,8 +236,9 @@ LedgerRecord BenchHarness::MakeLedgerRecord() const {
   record.env["repeats"] = std::to_string(config_.repeats);
   record.env["seed"] = std::to_string(config_.seed);
   record.env["smoke"] = config_.smoke ? "1" : "0";
-  record.env["threads"] =
-      std::to_string(EnvLongOr("VDRIFT_THREADS", 1));
+  // The count the pool runs, not the raw knob: unset or 0 both mean
+  // "every hardware thread".
+  record.env["threads"] = std::to_string(runtime::CurrentPool().threads());
   record.env["warmup"] = std::to_string(config_.warmup);
 
   std::map<std::string, obs::Histogram::Snapshot> stages = MergedStages();
@@ -372,32 +262,14 @@ LedgerRecord BenchHarness::MakeLedgerRecord() const {
 }
 
 std::string BenchHarness::WriteReport() const {
-  std::ofstream out(config_.json_path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "bench report not written: cannot open %s\n",
-                 config_.json_path.c_str());
+  Status status = AppendLedgerRecord(config_.ledger_path, MakeLedgerRecord());
+  if (!status.ok()) {
+    std::fprintf(stderr, "bench record not written: %s\n",
+                 status.ToString().c_str());
     return "";
   }
-  out << ReportJson() << "\n";
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "bench report not written: write failed on %s\n",
-                 config_.json_path.c_str());
-    return "";
-  }
-  std::printf("bench report written to %s\n", config_.json_path.c_str());
-  if (!config_.ledger_path.empty()) {
-    Status status = AppendLedgerRecord(config_.ledger_path,
-                                       MakeLedgerRecord());
-    if (status.ok()) {
-      std::printf("bench ledger appended to %s\n",
-                  config_.ledger_path.c_str());
-    } else {
-      std::fprintf(stderr, "bench ledger not appended: %s\n",
-                   status.ToString().c_str());
-    }
-  }
-  return config_.json_path;
+  std::printf("bench record appended to %s\n", config_.ledger_path.c_str());
+  return config_.ledger_path;
 }
 
 }  // namespace vdrift::benchutil

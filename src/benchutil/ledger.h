@@ -19,7 +19,7 @@ namespace vdrift::benchutil {
 /// PR 5's 28% msbo_select swing and PR 7's classifier_predict false
 /// positive were both machine/layout effects, not code changes — a verdict
 /// without the machine identity attached is a guess. The fingerprint is
-/// recorded in every ledger record and BENCH report; the statistical gate
+/// recorded in every ledger record; the statistical gate
 /// (tools/compare_bench.py) warns when it compares across fingerprints.
 struct MachineFingerprint {
   std::string cpu_model;  ///< /proc/cpuinfo "model name" (or "unknown").
@@ -29,7 +29,7 @@ struct MachineFingerprint {
 
   /// Reads the identity of the machine we are running on.
   static MachineFingerprint Detect();
-  /// Parses the "machine" object of a ledger record / BENCH report.
+  /// Parses the "machine" object of a ledger record.
   static MachineFingerprint FromJson(const obs::json::Value& value);
 
   /// Short stable content hash of the fields — the id two runs must share
@@ -72,9 +72,9 @@ struct LedgerKernel {
   double seconds = 0.0;
 };
 
-/// \brief One appended line of a BENCH run ledger.
+/// \brief One appended line of a bench run ledger.
 ///
-/// Every harness run appends one record (env VDRIFT_BENCH_LEDGER), so the
+/// Every harness run appends one record (BenchHarness::WriteReport), so the
 /// ledger accumulates the run-to-run distribution a single committed
 /// baseline cannot express: the statistical gate estimates machine noise
 /// from this history instead of trusting any single run.

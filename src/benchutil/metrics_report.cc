@@ -55,18 +55,13 @@ void PrintMetricsTable(const obs::MetricsRegistry& registry) {
 
 std::string EmitMetricsJson(const obs::MetricsRegistry& registry,
                             const obs::EpisodeRecorder* episodes,
-                            const std::string& default_path) {
-  return EmitMetricsJson(registry, episodes, nullptr, default_path);
-}
-
-std::string EmitMetricsJson(const obs::MetricsRegistry& registry,
-                            const obs::EpisodeRecorder* episodes,
                             const obs::HealthWatchdog* watchdog,
                             const std::string& default_path) {
   // vdrift-lint: allow(no-ambient-nondeterminism): documented export knob
   const char* override_path = std::getenv("VDRIFT_METRICS_JSON");
-  std::string path =
-      override_path != nullptr ? override_path : default_path;
+  std::string path = override_path != nullptr && override_path[0] != '\0'
+                         ? override_path
+                         : default_path;
   Status status = obs::WriteMetricsJson(registry, episodes, watchdog, path);
   if (!status.ok()) {
     std::fprintf(stderr, "metrics report not written: %s\n",

@@ -14,16 +14,11 @@ namespace vdrift::benchutil {
 /// Empty histograms show "-" for the shape columns instead of a fake 0.
 void PrintMetricsTable(const obs::MetricsRegistry& registry);
 
-/// Writes the JSON metrics report (registry + optional episode trace) to
-/// `path` — resolved from the VDRIFT_METRICS_JSON env var when set,
-/// `default_path` otherwise — and prints where it went. Returns the path
-/// written (empty on failure, with the error printed).
-std::string EmitMetricsJson(const obs::MetricsRegistry& registry,
-                            const obs::EpisodeRecorder* episodes,
-                            const std::string& default_path);
-
-/// As above, with the SLO watchdog's alert log spliced in under "alerts"
-/// (pass null for the plain report).
+/// Writes the JSON metrics report (registry, plus the episode trace and the
+/// SLO watchdog's alert log when non-null) to `path` — resolved from the
+/// VDRIFT_METRICS_JSON env var when set and non-empty, `default_path`
+/// otherwise — and prints where it went. Returns the path written (empty
+/// on failure, with the error printed).
 std::string EmitMetricsJson(const obs::MetricsRegistry& registry,
                             const obs::EpisodeRecorder* episodes,
                             const obs::HealthWatchdog* watchdog,

@@ -5,11 +5,6 @@
 namespace vdrift::obs {
 
 std::string MetricsReportJson(const MetricsRegistry& registry,
-                              const EpisodeRecorder* episodes) {
-  return MetricsReportJson(registry, episodes, nullptr);
-}
-
-std::string MetricsReportJson(const MetricsRegistry& registry,
                               const EpisodeRecorder* episodes,
                               const HealthWatchdog* watchdog) {
   std::string metrics = registry.ToJson();
@@ -21,12 +16,6 @@ std::string MetricsReportJson(const MetricsRegistry& registry,
   metrics += watchdog == nullptr ? "[]" : watchdog->AlertsJson();
   metrics += "}";
   return metrics;
-}
-
-Status WriteMetricsJson(const MetricsRegistry& registry,
-                        const EpisodeRecorder* episodes,
-                        const std::string& path) {
-  return WriteMetricsJson(registry, episodes, nullptr, path);
 }
 
 Status WriteMetricsJson(const MetricsRegistry& registry,

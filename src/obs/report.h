@@ -11,25 +11,16 @@
 namespace vdrift::obs {
 
 /// The full metrics report: the registry's counters/gauges/histograms plus
-/// the drift-episode trace under an "episodes" key ([] when `episodes` is
-/// null). This is the document the bench harnesses emit and
-/// tools/check_metrics.sh validates.
-std::string MetricsReportJson(const MetricsRegistry& registry,
-                              const EpisodeRecorder* episodes);
-
-/// As above, plus the SLO watchdog's alert log under an "alerts" key
-/// ([] when `watchdog` is null). check_metrics.sh asserts this array is
-/// empty on clean runs and non-empty under injected faults.
+/// the drift-episode trace under an "episodes" key and the SLO watchdog's
+/// alert log under an "alerts" key. Either source may be null; its key
+/// then holds []. This is the document the bench harnesses emit and
+/// tools/check_metrics.sh validates (alerts empty on clean runs, non-empty
+/// under injected faults).
 std::string MetricsReportJson(const MetricsRegistry& registry,
                               const EpisodeRecorder* episodes,
                               const HealthWatchdog* watchdog);
 
 /// Writes MetricsReportJson to `path` (trailing newline included).
-Status WriteMetricsJson(const MetricsRegistry& registry,
-                        const EpisodeRecorder* episodes,
-                        const std::string& path);
-
-/// Watchdog-aware overload of WriteMetricsJson.
 Status WriteMetricsJson(const MetricsRegistry& registry,
                         const EpisodeRecorder* episodes,
                         const HealthWatchdog* watchdog,

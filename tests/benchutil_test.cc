@@ -1,16 +1,21 @@
 // Tests for the bench harness utilities: the table printer, experiment
-// helpers, and the workbench model cache (train -> save -> load must give
-// bit-identical model behaviour).
+// helpers, the metrics-report path knob, and the workbench model cache
+// (train -> save -> load must give bit-identical model behaviour).
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "benchutil/experiments.h"
+#include "benchutil/metrics_report.h"
 #include "benchutil/table.h"
 #include "benchutil/workbench.h"
+#include "obs/json.h"
 #include "video/stream.h"
 
 namespace vdrift::benchutil {
@@ -39,6 +44,33 @@ TEST(FmtTest, Precision) {
   EXPECT_EQ(Fmt(3.14159, 2), "3.14");
   EXPECT_EQ(Fmt(2.0, 0), "2");
   EXPECT_EQ(Fmt(-0.5, 1), "-0.5");
+}
+
+TEST(EmitMetricsJsonTest, EmptyOverrideMeansTheDefaultPath) {
+  std::string path = (std::filesystem::temp_directory_path() /
+                      "vdrift_emit_default_metrics.json")
+                         .string();
+  std::filesystem::remove(path);
+  const char* old = std::getenv("VDRIFT_METRICS_JSON");
+  std::string saved = old != nullptr ? old : "";
+  setenv("VDRIFT_METRICS_JSON", "", 1);
+  obs::MetricsRegistry registry;
+  registry.GetCounter("c").Increment();
+  std::string written = EmitMetricsJson(registry, nullptr, nullptr, path);
+  if (old != nullptr) {
+    setenv("VDRIFT_METRICS_JSON", saved.c_str(), 1);
+  } else {
+    unsetenv("VDRIFT_METRICS_JSON");
+  }
+  EXPECT_EQ(written, path);
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::stringstream text;
+  text << in.rdbuf();
+  auto report = obs::json::Parse(text.str());
+  ASSERT_TRUE(report.ok());
+  EXPECT_NE(report.value().Find("alerts"), nullptr);
+  std::filesystem::remove(path);
 }
 
 TEST(MakeDatasetTest, KnownNames) {

@@ -1,18 +1,21 @@
-// Tests for the BENCH run ledger (benchutil/ledger.h): record JSON
+// Tests for the bench run ledger (benchutil/ledger.h): record JSON
 // round-trip, append/read over a real file, corrupt-line tolerance,
-// machine-fingerprint stability, and kernel-stat harvesting from the
-// op-probe instruments.
+// machine-fingerprint stability, kernel-stat harvesting from the
+// op-probe instruments, and the record BenchHarness builds and appends.
 
 #include "benchutil/ledger.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 
+#include "benchutil/bench_harness.h"
 #include "obs/metrics.h"
 #include "obs/trace_log.h"
+#include "runtime/thread_pool.h"
 
 namespace vdrift::benchutil {
 namespace {
@@ -164,6 +167,85 @@ TEST(CollectKernelStatsTest, HarvestsOpProbeInstruments) {
   EXPECT_EQ(kernels.at("test.collect_op").bytes, 99);
   EXPECT_DOUBLE_EQ(kernels.at("test.collect_op").seconds, 0.5);
   EXPECT_EQ(kernels.count("unrelated.counter"), 0u);
+}
+
+/// Sets an env var for one scope and restores the previous state after.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_old_ = old != nullptr;
+    if (had_old_) old_ = old;
+    if (value != nullptr) {
+      setenv(name, value, 1);
+    } else {
+      unsetenv(name);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+  ~ScopedEnv() {
+    if (had_old_) {
+      setenv(name_, old_.c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  bool had_old_ = false;
+  std::string old_;
+};
+
+TEST(BenchHarnessRecordTest, RecordsTheThreadCountTheRuntimeResolves) {
+  // 0 means "every hardware thread" to the runtime; the record must say
+  // how many that is, not echo the knob.
+  ScopedEnv threads("VDRIFT_THREADS", "0");
+  BenchHarness harness("ledger_threads");
+  harness.Repeat("noop", [] {});
+
+  Result<LedgerRecord> parsed =
+      LedgerRecord::FromJsonLine(harness.MakeLedgerRecord().ToJsonLine());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const LedgerRecord& record = parsed.value();
+  EXPECT_EQ(record.bench, "ledger_threads");
+  EXPECT_EQ(record.env.at("threads"),
+            std::to_string(runtime::DefaultThreads()));
+  EXPECT_NE(record.env.at("threads"), "0");
+  ASSERT_EQ(record.stages.count("noop"), 1u);
+  EXPECT_EQ(record.stages.at("noop").count, harness.config().repeats);
+  EXPECT_EQ(record.stages.at("noop").samples.size(),
+            static_cast<size_t>(harness.config().repeats));
+}
+
+TEST(BenchHarnessRecordTest, LedgerPathDefaultsToTheWorkingDirectory) {
+  ScopedEnv ledger("VDRIFT_BENCH_LEDGER", nullptr);
+  EXPECT_EQ(BenchHarness("x").config().ledger_path, "bench_x.jsonl");
+  ScopedEnv empty("VDRIFT_BENCH_LEDGER", "");
+  EXPECT_EQ(BenchHarness("x").config().ledger_path, "bench_x.jsonl");
+}
+
+TEST(BenchHarnessRecordTest, WriteReportAppendsOneRecordPerRun) {
+  std::string dir = ::testing::TempDir() + "/vdrift_harness_ledger";
+  std::string path = dir + "/harness_append.jsonl";
+  std::remove(path.c_str());
+  ScopedEnv ledger("VDRIFT_BENCH_LEDGER", dir.c_str());
+  for (int run = 0; run < 2; ++run) {
+    BenchHarness harness("harness_append");
+    harness.RecordStageSeconds("stage", 0.5);
+    EXPECT_EQ(harness.WriteReport(), path);
+  }
+  Result<LedgerHistory> history = ReadLedger(path);
+  ASSERT_TRUE(history.ok()) << history.status().ToString();
+  ASSERT_EQ(history.value().records.size(), 2u);
+  EXPECT_EQ(history.value().corrupt_lines, 0);
+  const LedgerRecord& record = history.value().records[1];
+  EXPECT_EQ(record.bench, "harness_append");
+  ASSERT_EQ(record.stages.count("stage"), 1u);
+  EXPECT_DOUBLE_EQ(record.stages.at("stage").sum, 0.5);
+  EXPECT_DOUBLE_EQ(record.throughput_fps, 2.0);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -735,7 +735,7 @@ TEST(ReportTest, MetricsReportEmbedsEpisodes) {
   EpisodeRecorder recorder;
   recorder.RecordFrame(MakeFrame(3, /*drift=*/true));
   recorder.AnnotateDecision("model-2");
-  auto parsed = json::Parse(MetricsReportJson(reg, &recorder));
+  auto parsed = json::Parse(MetricsReportJson(reg, &recorder, nullptr));
   ASSERT_TRUE(parsed.ok());
   const json::Value& v = parsed.value();
   const json::Value* episodes = v.Find("episodes");
@@ -748,7 +748,7 @@ TEST(ReportTest, MetricsReportEmbedsEpisodes) {
   EXPECT_EQ(episode.Find("frames")->array_value.size(), 1u);
 
   // Without a recorder the key still exists (empty array).
-  auto bare = json::Parse(MetricsReportJson(reg, nullptr));
+  auto bare = json::Parse(MetricsReportJson(reg, nullptr, nullptr));
   ASSERT_TRUE(bare.ok());
   const json::Value* none = bare.value().Find("episodes");
   ASSERT_NE(none, nullptr);

@@ -292,6 +292,10 @@ struct DatasetStatCase {
   double std;
 };
 
+// Without this, gtest prints the case as raw bytes, including the address
+// of `name`, and ctest's discovered test names would change on every build.
+void PrintTo(const DatasetStatCase& c, std::ostream* os) { *os << c.name; }
+
 class DatasetStats : public ::testing::TestWithParam<DatasetStatCase> {};
 
 TEST_P(DatasetStats, ObjectCountsMatchTable5) {

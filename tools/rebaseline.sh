@@ -15,14 +15,13 @@
 #                   tighter noise estimate)
 #   --out DIR       baseline dir (default: bench/baselines/threads1)
 #   --threads N     VDRIFT_THREADS for every run (default: 1)
-#   --keep          keep existing ledger/report files in the baseline dir
+#   --keep          keep existing ledger files in the baseline dir
 #                   (default: start fresh — a baseline mixes revisions
 #                   only when you explicitly ask it to)
 #   bench ...       subset to re-baseline (default: all migrated benches)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-REPO_ROOT="$(pwd)"
 
 RUNS=3
 OUT_DIR="bench/baselines/threads1"
@@ -48,19 +47,14 @@ fi
 
 mkdir -p "$OUT_DIR"
 if [[ "$KEEP" -eq 0 ]]; then
-  rm -f "$OUT_DIR"/*.jsonl "$OUT_DIR"/BENCH_*.json
+  rm -f "$OUT_DIR"/*.jsonl
 fi
-
-# Reports go to a scratch dir: the committed baseline is the ledger
-# history, not any single run's report.
-SCRATCH="$(mktemp -d)"
-trap 'rm -rf "$SCRATCH"' EXIT
 
 for run in $(seq 1 "$RUNS"); do
   echo
   echo "==== baseline run $run/$RUNS ===="
-  tools/run_bench_suite.sh --threads "$THREADS" --out-dir "$SCRATCH" \
-    --ledger "$OUT_DIR" "${BENCHES[@]+"${BENCHES[@]}"}"
+  tools/run_bench_suite.sh --threads "$THREADS" --out-dir "$OUT_DIR" \
+    "${BENCHES[@]+"${BENCHES[@]}"}"
 done
 
 echo

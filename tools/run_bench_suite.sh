@@ -1,20 +1,18 @@
 #!/usr/bin/env bash
-# Runs every harness-migrated bench and collects their canonical
-# BENCH_<name>.json reports (throughput, per-stage p50/p90/p99, FLOP
-# totals, git revision) into one directory — the artifact set
+# Runs every harness-migrated bench and appends each run's ledger record
+# (throughput, per-stage p50/p90/p99 and raw samples, per-kernel FLOPs,
+# git revision) to <out-dir>/<name>.jsonl — the run history
 # tools/compare_bench.py gates regressions on.
 #
 # Usage: tools/run_bench_suite.sh [options] [bench ...]
 #   --build-dir DIR   build tree to run from (default: build)
-#   --out-dir DIR     where BENCH_*.json land (default: repo root)
-#   --threads N       run with VDRIFT_THREADS=N (default: 1, so reports
+#   --out-dir DIR     ledger directory the records append to (default:
+#                     bench/ledger, gitignored)
+#   --threads N       run with VDRIFT_THREADS=N (default: 1, so records
 #                     are comparable to the committed serial baseline)
 #   --smoke           1 repeat / no warmup / tiny Tokyo-only workbench
-#   --ledger DIR      append each run's record to DIR/<name>.jsonl
-#                     (VDRIFT_BENCH_LEDGER) — the run history the
-#                     statistical gate estimates noise from
 #   --no-kernel-profile  skip per-kernel op timing (on by default so the
-#                     reports carry the kernel table compare_bench.py
+#                     records carry the kernel table compare_bench.py
 #                     attributes regressions with)
 #   --asan            configure+build build-asan with
 #                     -DVDRIFT_ENABLE_SANITIZERS=ON and run from there
@@ -22,14 +20,12 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-REPO_ROOT="$(pwd)"
 
 BUILD_DIR="build"
-OUT_DIR="$REPO_ROOT"
+OUT_DIR="bench/ledger"
 THREADS=1
 SMOKE=0
 ASAN=0
-LEDGER_DIR=""
 KERNEL_PROFILE=1
 BENCHES=()
 while [[ $# -gt 0 ]]; do
@@ -38,7 +34,6 @@ while [[ $# -gt 0 ]]; do
     --out-dir) OUT_DIR="$2"; shift 2 ;;
     --threads) THREADS="$2"; shift 2 ;;
     --smoke) SMOKE=1; shift ;;
-    --ledger) LEDGER_DIR="$2"; shift 2 ;;
     --no-kernel-profile) KERNEL_PROFILE=0; shift ;;
     --asan) ASAN=1; shift ;;
     -h|--help) grep '^#' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
@@ -63,16 +58,16 @@ mkdir -p "$OUT_DIR"
 export VDRIFT_GIT_REV="${VDRIFT_GIT_REV:-$(git rev-parse --short=12 HEAD \
                                            2>/dev/null || echo unknown)}"
 export VDRIFT_THREADS="$THREADS"
+export VDRIFT_BENCH_LEDGER="$OUT_DIR"
 if [[ "$SMOKE" -eq 1 ]]; then
   export VDRIFT_BENCH_SMOKE=1
-fi
-if [[ -n "$LEDGER_DIR" ]]; then
-  mkdir -p "$LEDGER_DIR"
-  export VDRIFT_BENCH_LEDGER="$LEDGER_DIR"
 fi
 if [[ "$KERNEL_PROFILE" -eq 1 ]]; then
   export VDRIFT_KERNEL_PROFILE=1
 fi
+
+# Lines across every ledger in OUT_DIR: each run must append one.
+records() { { cat "$OUT_DIR"/*.jsonl 2>/dev/null || true; } | wc -l; }
 
 FAILED=0
 for bench in "${BENCHES[@]}"; do
@@ -82,17 +77,16 @@ for bench in "${BENCHES[@]}"; do
     FAILED=1
     continue
   fi
-  name="${bench#bench_}"
-  report="$OUT_DIR/BENCH_${name}.json"
+  before="$(records)"
   echo
   echo "== $bench (rev $VDRIFT_GIT_REV, threads $VDRIFT_THREADS) =="
-  if ! VDRIFT_BENCH_JSON="$report" "$binary"; then
+  if ! "$binary"; then
     echo "FAIL: $bench exited non-zero" >&2
     FAILED=1
     continue
   fi
-  if [[ ! -s "$report" ]]; then
-    echo "FAIL: $bench wrote no report at $report" >&2
+  if [[ "$(records)" -le "$before" ]]; then
+    echo "FAIL: $bench appended no record to $OUT_DIR" >&2
     FAILED=1
   fi
 done
@@ -102,7 +96,7 @@ if [[ "$FAILED" -ne 0 ]]; then
   echo "bench suite FAILED (see above)" >&2
   exit 1
 fi
-ls -l "$OUT_DIR"/BENCH_*.json
-echo "bench suite OK: reports in $OUT_DIR"
+ls -l "$OUT_DIR"/*.jsonl
+echo "bench suite OK: records appended in $OUT_DIR"
 echo "compare against a baseline with:"
 echo "  tools/compare_bench.py --baseline <dir> --candidate $OUT_DIR"
