@@ -138,22 +138,19 @@ Tensor Conv2d::Forward(const Tensor& input) {
       static_cast<int64_t>(sizeof(float)) *
           (input.size() + out_channels_ * patch + out_channels_ +
            n * out_channels_ * out_plane));
-  cached_cols_.assign(static_cast<size_t>(n), Tensor());
+  cached_input_ = input;
   Tensor out(Shape{n, out_channels_, out_h_, out_w_});
   int64_t plane = static_cast<int64_t>(out_h_) * out_w_;
-  // Samples are independent: each writes its own output block and
-  // cached_cols_ slot (pre-sized above, so no container mutation races).
-  // Nested tensor-op parallelism runs inline inside a sample chunk.
+  // Samples are independent: each writes its own output block. Nested
+  // tensor-op parallelism runs inline inside a sample chunk.
   ParallelFor(0, n, 1, [&](int64_t s_begin, int64_t s_end) {
     for (int64_t s = s_begin; s < s_end; ++s) {
-      // View of sample s as [C, H, W].
-      Tensor sample(Shape{in_channels_, in_h_, in_w_});
-      const float* src =
+      const float* sample =
           input.data() +
           s * in_channels_ * static_cast<int64_t>(in_h_) * in_w_;
-      std::copy(src, src + sample.size(), sample.data());
-      Tensor cols = tensor::Im2Col(sample, kernel_, kernel_, stride_, pad_,
-                                   out_h_, out_w_);
+      Tensor cols = tensor::Im2Col(sample, in_channels_, in_h_, in_w_,
+                                   kernel_, kernel_, stride_, pad_, out_h_,
+                                   out_w_);
       Tensor result = tensor::Matmul(weight_.value, cols);
       float* dst = out.data() + s * out_channels_ * plane;
       for (int64_t c = 0; c < out_channels_; ++c) {
@@ -162,7 +159,6 @@ Tensor Conv2d::Forward(const Tensor& input) {
           dst[c * plane + p] = result[c * plane + p] + b;
         }
       }
-      cached_cols_[static_cast<size_t>(s)] = std::move(cols);
     }
   });
   return out;
@@ -176,7 +172,8 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
                grad_output.shape().dim(2) == out_h_ &&
                grad_output.shape().dim(3) == out_w_);
   // vdrift-lint: allow(no-data-dependent-check): fwd/bwd pairing contract
-  VDRIFT_CHECK(static_cast<size_t>(n) == cached_cols_.size())
+  VDRIFT_CHECK(cached_input_.shape().ndim() == 4 &&
+               n == cached_input_.shape().dim(0))
       << "Backward batch size mismatch";
   int64_t bw_out_plane = static_cast<int64_t>(out_h_) * out_w_;
   int64_t bw_patch = static_cast<int64_t>(in_channels_) * kernel_ * kernel_;
@@ -206,8 +203,10 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
       const float* src = grad_output.data() + s * out_channels_ * plane;
       std::copy(src, src + dy.size(), dy.data());
       // dW_s = dY cols^T ; db_s = row sums of dY.
-      sample_dw[static_cast<size_t>(s)] =
-          tensor::MatmulTransposedB(dy, cached_cols_[static_cast<size_t>(s)]);
+      Tensor cols = tensor::Im2Col(
+          cached_input_.data() + s * in_channels_ * in_plane, in_channels_,
+          in_h_, in_w_, kernel_, kernel_, stride_, pad_, out_h_, out_w_);
+      sample_dw[static_cast<size_t>(s)] = tensor::MatmulTransposedB(dy, cols);
       std::vector<float>& db = sample_db[static_cast<size_t>(s)];
       for (int64_t c = 0; c < out_channels_; ++c) {
         double acc = 0.0;

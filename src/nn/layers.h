@@ -55,8 +55,10 @@ class Conv2d : public Layer {
   int pad_;
   Parameter weight_;
   Parameter bias_;
-  // Cached per-sample im2col matrices plus the input geometry.
-  std::vector<tensor::Tensor> cached_cols_;
+  // The input, from which Backward rebuilds each sample's im2col matrix,
+  // plus its geometry. Caching the matrices instead held kernel^2 /
+  // stride^2 times as much in every model instance between calls.
+  tensor::Tensor cached_input_;
   int in_h_ = 0;
   int in_w_ = 0;
   int out_h_ = 0;

@@ -49,7 +49,9 @@ class ScopedThreads {
 /// at tens of microseconds of arithmetic: dispatching the pool for less
 /// than that costs more in wakeups and chunk claiming than it saves
 /// (the microsecond-scale per-frame encode GEMMs in particular must stay
-/// inline or detection latency regresses under oversubscription).
+/// inline or detection latency regresses under oversubscription). The
+/// floor assumes scalar-rate loops; a vectorized kernel passes a larger
+/// `min_cost` (the GEMM uses 1 << 20 FLOPs).
 inline int64_t GrainForCost(int64_t cost_per_item,
                             int64_t min_cost = 1 << 17) {
   return std::max<int64_t>(1,

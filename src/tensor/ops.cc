@@ -1,9 +1,223 @@
 #include "tensor/ops.h"
 
+#include <algorithm>
+#include <cstring>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
 #include "obs/trace_log.h"
 #include "runtime/parallel.h"
+#include "tensor/gemm.h"
 
 namespace vdrift::tensor {
+
+namespace internal {
+namespace {
+
+// One register-tiled GEMM kernel, instantiated once per vector width.
+// A tile is kGemmTileRows rows of C by kVecs vectors of W columns; its
+// accumulators start at +0 and take `acc = acc + b * a` once per k in
+// ascending order -- a rounded multiply, then a rounded add, never an
+// FMA (the build passes -ffp-contract=off and no target enables fma).
+// That is exactly the naive loop's arithmetic, element for element, so
+// the result does not depend on the tile shape, the width, or how rows
+// are split across threads.
+
+#define VDRIFT_GEMM_INLINE inline __attribute__((always_inline))
+// Fully unrolls a loop with a compile-time trip count, so a tile's
+// accumulators live in registers.
+#if defined(__clang__)
+#define VDRIFT_GEMM_UNROLL _Pragma("unroll")
+#else
+#define VDRIFT_GEMM_UNROLL _Pragma("GCC unroll 8")
+#endif
+
+template <int W>
+struct VecOf;
+template <>
+struct VecOf<4> {
+  typedef float type __attribute__((vector_size(16)));
+};
+template <>
+struct VecOf<8> {
+  typedef float type __attribute__((vector_size(32)));
+};
+
+// Copies columns [j0, j0 + cols) of B into `out` as a k x width row-major
+// panel; lanes past `cols` are zero so they never hold denormals or NaNs.
+void PackPanel(const GemmOperands& g, int64_t j0, int64_t cols,
+               int64_t width, float* out) {
+  if (cols < width) std::fill(out, out + g.k * width, 0.0f);
+  if (g.b_col == 1) {
+    for (int64_t kk = 0; kk < g.k; ++kk) {
+      std::memcpy(out + kk * width, g.b + kk * g.b_k + j0,
+                  sizeof(float) * static_cast<size_t>(cols));
+    }
+    return;
+  }
+  // Transposed B: walk each source column along k (contiguous for
+  // MatmulTransposedB) and scatter it into its panel lane.
+  for (int64_t jj = 0; jj < cols; ++jj) {
+    const float* src = g.b + (j0 + jj) * g.b_col;
+    for (int64_t kk = 0; kk < g.k; ++kk) {
+      out[kk * width + jj] = src[kk * g.b_k];
+    }
+  }
+}
+
+// The columns [j0, j0 + cols) of B one tile row reads: B(kk, jj) at
+// b[kk * b_k + jj * b_col]. With b_col == 1 a tile loads whole vectors
+// (lanes past `cols` must be readable; they are dropped); otherwise it
+// gathers lane by lane.
+struct Panel {
+  const float* b;
+  int64_t b_k;
+  int64_t b_col;
+  int64_t cols;
+};
+
+// C[kRows, cols] tile: A rows start at `a`, C at `c` (row stride ldc).
+template <int W, int kRows, int kVecs, bool kGather>
+VDRIFT_GEMM_INLINE void GemmTile(const float* a, int64_t a_row, int64_t a_k,
+                                 const Panel& p, int64_t k, float* c,
+                                 int64_t ldc) {
+  using V = typename VecOf<W>::type;
+  // Gathered lanes past `cols` repeat the last column, so they read real
+  // data, never past the operand.
+  int64_t lane[kVecs][W] = {};
+  if constexpr (kGather) {
+    for (int64_t v = 0; v < kVecs; ++v) {
+      for (int64_t l = 0; l < W; ++l) {
+        lane[v][l] = std::min(v * W + l, p.cols - 1) * p.b_col;
+      }
+    }
+  }
+  V acc[kRows][kVecs] = {};
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float* brow = p.b + kk * p.b_k;
+    V bv[kVecs] = {};
+    VDRIFT_GEMM_UNROLL
+    for (int64_t v = 0; v < kVecs; ++v) {
+      if constexpr (kGather) {
+        [&]<size_t... L>(std::index_sequence<L...>) {
+          bv[v] = V{brow[lane[v][L]]...};
+        }(std::make_index_sequence<W>());
+      } else {
+        std::memcpy(&bv[v], brow + v * W, sizeof(V));
+      }
+    }
+    VDRIFT_GEMM_UNROLL
+    for (int64_t r = 0; r < kRows; ++r) {
+      float ar = a[r * a_row + kk * a_k];
+      VDRIFT_GEMM_UNROLL
+      for (int64_t v = 0; v < kVecs; ++v) {
+        acc[r][v] = acc[r][v] + bv[v] * ar;
+      }
+    }
+  }
+  VDRIFT_GEMM_UNROLL
+  for (int64_t r = 0; r < kRows; ++r) {
+    if (p.cols == kVecs * W) {
+      std::memcpy(c + r * ldc, acc[r], sizeof(acc[r]));
+    } else {
+      std::memcpy(c + r * ldc, acc[r],
+                  sizeof(float) * static_cast<size_t>(p.cols));
+    }
+  }
+}
+
+template <int W, int kVecs, bool kGather>
+VDRIFT_GEMM_INLINE void GemmPanelRows(const GemmOperands& g, const Panel& p,
+                                      int64_t j0, int64_t row_begin,
+                                      int64_t row_end) {
+  for (int64_t i = row_begin; i < row_end; i += kGemmTileRows) {
+    const float* a = g.a + i * g.a_row;
+    float* c = g.c + i * g.n + j0;
+    switch (std::min(kGemmTileRows, row_end - i)) {
+      case 4:
+        GemmTile<W, 4, kVecs, kGather>(a, g.a_row, g.a_k, p, g.k, c, g.n);
+        break;
+      case 3:
+        GemmTile<W, 3, kVecs, kGather>(a, g.a_row, g.a_k, p, g.k, c, g.n);
+        break;
+      case 2:
+        GemmTile<W, 2, kVecs, kGather>(a, g.a_row, g.a_k, p, g.k, c, g.n);
+        break;
+      default:
+        GemmTile<W, 1, kVecs, kGather>(a, g.a_row, g.a_k, p, g.k, c, g.n);
+        break;
+    }
+  }
+}
+
+template <int W, bool kGather>
+VDRIFT_GEMM_INLINE void GemmPanel(const GemmOperands& g, const Panel& p,
+                                  int64_t j0, int64_t row_begin,
+                                  int64_t row_end) {
+  if (p.cols > W) {
+    GemmPanelRows<W, 2, kGather>(g, p, j0, row_begin, row_end);
+  } else {
+    GemmPanelRows<W, 1, kGather>(g, p, j0, row_begin, row_end);
+  }
+}
+
+// Rows [row_begin, row_end) of C, one 2W-column panel of B at a time. A
+// full panel of row-major B is read in place. A transposed B or a ragged
+// last panel is packed into a scratch panel when more than one row tile
+// will reuse it; a single tile gathers its lanes straight from B, so
+// a GEMV-shaped call (one frame through a Linear) never pays a transpose.
+template <int W>
+VDRIFT_GEMM_INLINE void GemmRows(const GemmOperands& g, int64_t row_begin,
+                                 int64_t row_end) {
+  constexpr int64_t kPanel = 2 * W;
+  // Scoped to the call: a buffer kept per thread would pin the top of a
+  // worker's heap arena and keep the memory of training's transient
+  // tensors from being returned to the system.
+  std::vector<float> panel;
+  for (int64_t j0 = 0; j0 < g.n; j0 += kPanel) {
+    Panel p{g.b + j0 * g.b_col, g.b_k, g.b_col, std::min(kPanel, g.n - j0)};
+    if (p.b_col == 1 && p.cols == kPanel) {
+      GemmPanel<W, false>(g, p, j0, row_begin, row_end);
+    } else if (row_end - row_begin <= kGemmTileRows) {
+      GemmPanel<W, true>(g, p, j0, row_begin, row_end);
+    } else {
+      int64_t width = p.cols > W ? kPanel : W;
+      if (panel.size() < static_cast<size_t>(g.k * width)) {
+        panel.resize(static_cast<size_t>(g.k * width));
+      }
+      PackPanel(g, j0, p.cols, width, panel.data());
+      GemmPanel<W, false>(g, {panel.data(), width, 1, p.cols}, j0,
+                          row_begin, row_end);
+    }
+  }
+}
+
+}  // namespace
+
+void GemmRowsWidth4(const GemmOperands& g, int64_t row_begin,
+                    int64_t row_end) {
+  GemmRows<4>(g, row_begin, row_end);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+__attribute__((target("avx2"))) void GemmRowsWidth8(const GemmOperands& g,
+                                                    int64_t row_begin,
+                                                    int64_t row_end) {
+  GemmRows<8>(g, row_begin, row_end);
+}
+
+bool CpuHasAvx2() { return __builtin_cpu_supports("avx2"); }
+#else
+void GemmRowsWidth8(const GemmOperands& g, int64_t row_begin,
+                    int64_t row_end) {
+  GemmRows<8>(g, row_begin, row_end);
+}
+
+bool CpuHasAvx2() { return false; }
+#endif
+
+}  // namespace internal
 
 namespace {
 
@@ -19,12 +233,33 @@ void CheckSameShape(const Tensor& a, const Tensor& b) {
 
 // GEMM attribution: 2mkn FLOPs (one multiply + one add per inner-product
 // term), bytes = the three operand matrices once through memory. The
-// kernels below do exactly this much arithmetic on every input — no
-// data-dependent shortcuts — so the attribution is exact and benchmark
-// numbers do not depend on operand sparsity.
+// GEMM kernel does this arithmetic on every input — no data-dependent
+// shortcuts — so the attribution is exact and benchmark numbers do not
+// depend on operand sparsity.
 int64_t GemmFlops(int64_t m, int64_t k, int64_t n) { return 2 * m * k * n; }
 int64_t GemmBytes(int64_t m, int64_t k, int64_t n) {
   return static_cast<int64_t>(sizeof(float)) * (m * k + k * n + m * n);
+}
+
+// Fewest FLOPs per GEMM chunk: ~40 us at the vectorized kernel's
+// 20-30 GFLOPS, the "tens of microseconds" GrainForCost's default floor
+// buys scalar loops. The default (1 << 17) would dispatch ~5 us chunks,
+// which measured worse on both churn query latency and fleet parallel
+// efficiency in perfbench.
+constexpr int64_t kGemmMinChunkFlops = 1 << 20;
+
+// C = A * B for every GEMM entry point, at the widest width the CPU
+// runs. Rows of C are independent, so any row split is bit-identical to
+// serial; grains are whole register tiles.
+void Gemm(const internal::GemmOperands& g) {
+  static const auto rows = internal::CpuHasAvx2() ? &internal::GemmRowsWidth8
+                                                  : &internal::GemmRowsWidth4;
+  constexpr int64_t tile = internal::kGemmTileRows;
+  int64_t grain = GrainForCost(2 * g.k * g.n, kGemmMinChunkFlops);
+  grain = (grain + tile - 1) / tile * tile;
+  ParallelFor(0, g.m, grain, [&](int64_t row_begin, int64_t row_end) {
+    rows(g, row_begin, row_end);
+  });
 }
 
 // Elementwise loops parallelize per index; each element's computation is
@@ -110,23 +345,7 @@ Tensor Matmul(const Tensor& a, const Tensor& b) {
   VDRIFT_OP_PROBE("tensor", "matmul", GemmFlops(m, k, n),
                   GemmBytes(m, k, n));
   Tensor out(Shape{m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  // Rows of C are independent; within a row the i-k-j order streams over
-  // contiguous rows of B and C, and each C element accumulates its k
-  // terms in ascending order on one thread — bit-identical to serial.
-  ParallelFor(0, m, GrainForCost(2 * k * n),
-              [&](int64_t row_begin, int64_t row_end) {
-                for (int64_t i = row_begin; i < row_end; ++i) {
-                  float* crow = po + i * n;
-                  for (int64_t kk = 0; kk < k; ++kk) {
-                    float aik = pa[i * k + kk];
-                    const float* brow = pb + kk * n;
-                    for (int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-                  }
-                }
-              });
+  Gemm({a.data(), k, 1, b.data(), n, 1, out.data(), m, k, n});
   return out;
 }
 
@@ -139,23 +358,7 @@ Tensor MatmulTransposedB(const Tensor& a, const Tensor& b) {
   VDRIFT_OP_PROBE("tensor", "matmul_transposed_b", GemmFlops(m, k, n),
                   GemmBytes(m, k, n));
   Tensor out(Shape{m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  ParallelFor(0, m, GrainForCost(2 * k * n),
-              [&](int64_t row_begin, int64_t row_end) {
-                for (int64_t i = row_begin; i < row_end; ++i) {
-                  const float* arow = pa + i * k;
-                  for (int64_t j = 0; j < n; ++j) {
-                    const float* brow = pb + j * k;
-                    float acc = 0.0f;
-                    for (int64_t kk = 0; kk < k; ++kk) {
-                      acc += arow[kk] * brow[kk];
-                    }
-                    po[i * n + j] = acc;
-                  }
-                }
-              });
+  Gemm({a.data(), k, 1, b.data(), 1, k, out.data(), m, k, n});
   return out;
 }
 
@@ -168,22 +371,7 @@ Tensor MatmulTransposedA(const Tensor& a, const Tensor& b) {
   VDRIFT_OP_PROBE("tensor", "matmul_transposed_a", GemmFlops(m, k, n),
                   GemmBytes(m, k, n));
   Tensor out(Shape{m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  // i outer so output rows are thread-private (A is read with stride m);
-  // per element the k terms still accumulate in ascending order.
-  ParallelFor(0, m, GrainForCost(2 * k * n),
-              [&](int64_t row_begin, int64_t row_end) {
-                for (int64_t i = row_begin; i < row_end; ++i) {
-                  float* crow = po + i * n;
-                  for (int64_t kk = 0; kk < k; ++kk) {
-                    float aik = pa[kk * m + i];
-                    const float* brow = pb + kk * n;
-                    for (int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-                  }
-                }
-              });
+  Gemm({a.data(), 1, m, b.data(), n, 1, out.data(), m, k, n});
   return out;
 }
 
@@ -219,43 +407,72 @@ double Mean(const Tensor& a) {
   return Sum(a) / static_cast<double>(a.size());
 }
 
-Tensor Im2Col(const Tensor& input, int kh, int kw, int stride, int pad,
-              int out_h, int out_w) {
-  VDRIFT_CHECK(input.shape().ndim() == 3);
-  int64_t channels = input.shape().dim(0);
-  int64_t height = input.shape().dim(1);
-  int64_t width = input.shape().dim(2);
-  int64_t rows = channels * kh * kw;
+Tensor Im2Col(const float* input, int channels, int height, int width,
+              int kh, int kw, int stride, int pad, int out_h, int out_w) {
+  int64_t rows = static_cast<int64_t>(channels) * kh * kw;
   int64_t cols = static_cast<int64_t>(out_h) * out_w;
   // Pure data movement: 0 FLOPs, input read once + output written once.
   VDRIFT_OP_PROBE("tensor", "im2col", 0,
                   static_cast<int64_t>(sizeof(float)) *
-                      (input.size() + rows * cols));
+                      (static_cast<int64_t>(channels) * height * width +
+                       rows * cols));
   Tensor out(Shape{rows, cols});
-  const float* in = input.data();
   float* po = out.data();
-  // Each output row belongs to one (c, ky, kx) triple — thread-private.
-  ParallelFor(0, rows, GrainForCost(cols), [&](int64_t row_begin,
-                                               int64_t row_end) {
-    for (int64_t row = row_begin; row < row_end; ++row) {
-      int64_t c = row / (kh * kw);
-      int ky = static_cast<int>((row / kw) % kh);
-      int kx = static_cast<int>(row % kw);
-      float* orow = po + row * cols;
-      for (int oy = 0; oy < out_h; ++oy) {
-        int iy = oy * stride + ky - pad;
-        bool y_ok = iy >= 0 && iy < height;
-        for (int ox = 0; ox < out_w; ++ox) {
-          int ix = ox * stride + kx - pad;
-          float v = 0.0f;
-          if (y_ok && ix >= 0 && ix < width) {
-            v = in[(c * height + iy) * width + ix];
+  // Kernel tap t reads input index o * stride + t - pad for output index
+  // o; that is inside [0, in) exactly for o in the tap's window, clipped
+  // once here so the copy below needs no per-element bounds check.
+  auto windows = [stride, pad](int taps, int in, int out) {
+    auto first = [&](int lo, int offset) {
+      int o = lo - offset <= 0 ? 0 : (lo - offset + stride - 1) / stride;
+      return std::min(o, out);
+    };
+    std::vector<std::pair<int, int>> w(static_cast<size_t>(taps));
+    for (int t = 0; t < taps; ++t) {
+      w[t] = {first(0, t - pad), first(in, t - pad)};
+    }
+    return w;
+  };
+  const auto y_window = windows(kh, height, out_h);
+  const auto x_window = windows(kw, width, out_w);
+  // Each output row belongs to one (c, ky, kx) triple -- thread-private.
+  // Its window is a strided copy; everything outside it stays the zero
+  // the tensor starts as. `step` is the stride, a compile-time constant
+  // for the models' 1 and 2 (im2col runs ~25% faster in the pipeline).
+  auto copy_rows = [&](auto step) {
+    ParallelFor(0, rows, GrainForCost(cols), [&](int64_t row_begin,
+                                                 int64_t row_end) {
+      int64_t c = row_begin / (kh * kw);
+      int ky = static_cast<int>((row_begin / kw) % kh);
+      int kx = static_cast<int>(row_begin % kw);
+      for (int64_t row = row_begin; row < row_end; ++row) {
+        auto [oy_begin, oy_end] = y_window[ky];
+        auto [ox_begin, ox_end] = x_window[kx];
+        const float* plane = input + c * height * width;
+        for (int oy = oy_begin; oy < oy_end; ++oy) {
+          const float* src =
+              plane + static_cast<int64_t>(oy * step + ky - pad) * width;
+          float* dst = po + row * cols + static_cast<int64_t>(oy) * out_w;
+          for (int ox = ox_begin; ox < ox_end; ++ox) {
+            dst[ox] = src[ox * step + kx - pad];
           }
-          orow[oy * out_w + ox] = v;
+        }
+        if (++kx == kw) {
+          kx = 0;
+          if (++ky == kh) {
+            ky = 0;
+            ++c;
+          }
         }
       }
-    }
-  });
+    });
+  };
+  if (stride == 1) {
+    copy_rows(std::integral_constant<int, 1>());
+  } else if (stride == 2) {
+    copy_rows(std::integral_constant<int, 2>());
+  } else {
+    copy_rows(stride);
+  }
   return out;
 }
 

@@ -36,11 +36,12 @@ double Sum(const Tensor& a);
 /// Mean of all elements (0 for empty tensors).
 double Mean(const Tensor& a);
 
-/// im2col for 2-D convolution. Input: [C, H, W]. Output: a
-/// [C*kh*kw, out_h*out_w] matrix whose columns are the receptive fields.
+/// im2col for 2-D convolution. Input: `channels` row-major [height, width]
+/// planes at `input` (one sample of an NCHW batch, read in place). Output:
+/// a [C*kh*kw, out_h*out_w] matrix whose columns are the receptive fields.
 /// Out-of-bounds (padding) cells are zero.
-Tensor Im2Col(const Tensor& input, int kh, int kw, int stride, int pad,
-              int out_h, int out_w);
+Tensor Im2Col(const float* input, int channels, int height, int width,
+              int kh, int kw, int stride, int pad, int out_h, int out_w);
 
 /// Inverse of Im2Col: scatters (accumulates) columns back into a [C, H, W]
 /// tensor. Used by the convolution backward pass.

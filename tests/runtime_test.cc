@@ -163,8 +163,11 @@ TEST(ParallelReduceTest, MatchesSerialFoldBitForBit) {
 
 TEST(DeterminismTest, MatmulBitIdenticalAcrossThreadCounts) {
   Rng rng(22);
-  Tensor a = RandomTensor(Shape{37, 29}, &rng);
-  Tensor b = RandomTensor(Shape{29, 41}, &rng);
+  // 203 rows split into several ParallelFor chunks, the last one ending
+  // in a partial 4-row tile; 90 columns cross the 16-column panel five
+  // times and end in a ragged one.
+  Tensor a = RandomTensor(Shape{203, 96}, &rng);
+  Tensor b = RandomTensor(Shape{96, 90}, &rng);
   Tensor at = tensor::Transpose2D(a);
   Tensor bt = tensor::Transpose2D(b);
   ScopedThreads serial_scope(1);

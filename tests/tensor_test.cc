@@ -1,12 +1,16 @@
 // Tests for the tensor library: shape handling, elementwise ops, matrix
 // products (checked against a naive reference), and im2col/col2im.
 
+#include <cstring>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
 #include "stats/rng.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -32,7 +36,10 @@ Tensor NaiveMatmul(const Tensor& a, const Tensor& b) {
     for (int64_t j = 0; j < n; ++j) {
       float acc = 0.0f;
       for (int64_t kk = 0; kk < k; ++kk) {
-        acc += a.At2(i, kk) * b.At2(kk, j);
+        // Through a volatile, so no compiler flag can fuse the product
+        // into the add: one rounded multiply, then one rounded add.
+        volatile float product = a.At2(i, kk) * b.At2(kk, j);
+        acc += product;
       }
       out.At2(i, j) = acc;
     }
@@ -44,6 +51,18 @@ void ExpectTensorsNear(const Tensor& a, const Tensor& b, float tol) {
   ASSERT_EQ(a.shape(), b.shape());
   for (int64_t i = 0; i < a.size(); ++i) {
     ASSERT_NEAR(a[i], b[i], tol) << "at flat index " << i;
+  }
+}
+
+// Bitwise equality: the GEMM kernel and im2col promise the naive loops'
+// exact bits, not merely close values.
+void ExpectBitIdentical(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  for (int64_t i = 0; i < got.size(); ++i) {
+    float g = got[i];
+    float w = want[i];
+    ASSERT_EQ(std::memcmp(&g, &w, sizeof(float)), 0)
+        << "at flat index " << i << ": " << g << " vs " << w;
   }
 }
 
@@ -151,8 +170,10 @@ TEST(OpsTest, Transpose2D) {
   EXPECT_EQ(t.At2(2, 0), 3.0f);
 }
 
-// Property sweep: all matmul variants agree with the naive reference over
-// random shapes.
+// Property sweep: all matmul variants give the naive reference's exact
+// bits. The shapes put m on every residue mod the 4-row tile, n below, at
+// and past the 8- and 16-column panels, k = 1, and the model shapes
+// (conv GEMMs of the count classifier and the VAE encoder).
 class MatmulProperty : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(MatmulProperty, MatchesNaiveReference) {
@@ -161,16 +182,75 @@ TEST_P(MatmulProperty, MatchesNaiveReference) {
   Tensor a = RandomTensor(Shape{m, k}, &rng);
   Tensor b = RandomTensor(Shape{k, n}, &rng);
   Tensor expect = NaiveMatmul(a, b);
-  ExpectTensorsNear(Matmul(a, b), expect, 1e-4f);
-  ExpectTensorsNear(MatmulTransposedB(a, Transpose2D(b)), expect, 1e-4f);
-  ExpectTensorsNear(MatmulTransposedA(Transpose2D(a), b), expect, 1e-4f);
+  ExpectBitIdentical(Matmul(a, b), expect);
+  ExpectBitIdentical(MatmulTransposedB(a, Transpose2D(b)), expect);
+  ExpectBitIdentical(MatmulTransposedA(Transpose2D(a), b), expect);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, MatmulProperty,
     ::testing::Values(std::tuple{1, 1, 1}, std::tuple{2, 3, 4},
                       std::tuple{5, 1, 7}, std::tuple{8, 8, 8},
-                      std::tuple{3, 17, 5}, std::tuple{16, 9, 16}));
+                      std::tuple{3, 17, 5}, std::tuple{16, 9, 16},
+                      std::tuple{4, 1, 9}, std::tuple{6, 5, 15},
+                      std::tuple{7, 1, 17}, std::tuple{9, 4, 33},
+                      std::tuple{12, 27, 256}, std::tuple{24, 108, 64},
+                      std::tuple{24, 216, 64}, std::tuple{4, 27, 256},
+                      std::tuple{8, 36, 64}, std::tuple{8, 72, 16}));
+
+using GemmRowsFn = void (*)(const internal::GemmOperands&, int64_t, int64_t);
+
+// Runs one kernel instance over every operand layout the entry points use
+// (B row-major, B transposed, A transposed), on a grid of tile-edge shapes
+// plus the model shapes, and in two row ranges split off the tile grid;
+// each result must be the naive loop's exact bits.
+void CheckKernelAgainstNaive(GemmRowsFn rows) {
+  std::vector<std::tuple<int, int, int>> shapes;
+  for (int m : {1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+    for (int n : {1, 4, 7, 8, 9, 15, 16, 17, 31, 33}) {
+      for (int k : {1, 2, 7}) shapes.emplace_back(m, k, n);
+    }
+  }
+  for (auto shape : {std::tuple{12, 27, 256}, std::tuple{24, 108, 64},
+                     std::tuple{24, 216, 64}, std::tuple{4, 27, 256},
+                     std::tuple{8, 36, 64}, std::tuple{8, 72, 16}}) {
+    shapes.push_back(shape);
+  }
+  for (auto [m, k, n] : shapes) {
+    SCOPED_TRACE(testing::Message() << "m=" << m << " k=" << k << " n=" << n);
+    Rng rng(m * 7919 + k * 131 + n);
+    Tensor a = RandomTensor(Shape{m, k}, &rng);
+    Tensor b = RandomTensor(Shape{k, n}, &rng);
+    Tensor at = Transpose2D(a);
+    Tensor bt = Transpose2D(b);
+    Tensor expect = NaiveMatmul(a, b);
+    const internal::GemmOperands layouts[] = {
+        {a.data(), k, 1, b.data(), n, 1, nullptr, m, k, n},
+        {a.data(), k, 1, bt.data(), 1, k, nullptr, m, k, n},
+        {at.data(), 1, m, b.data(), n, 1, nullptr, m, k, n},
+    };
+    for (internal::GemmOperands g : layouts) {
+      Tensor whole(Shape{m, n});
+      g.c = whole.data();
+      rows(g, 0, m);
+      ExpectBitIdentical(whole, expect);
+      Tensor split(Shape{m, n});
+      g.c = split.data();
+      rows(g, 0, m / 3);
+      rows(g, m / 3, m);
+      ExpectBitIdentical(split, expect);
+    }
+  }
+}
+
+TEST(GemmKernelTest, Width4IsBitIdenticalToNaiveLoop) {
+  CheckKernelAgainstNaive(&internal::GemmRowsWidth4);
+}
+
+TEST(GemmKernelTest, Width8IsBitIdenticalToNaiveLoop) {
+  if (!internal::CpuHasAvx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  CheckKernelAgainstNaive(&internal::GemmRowsWidth8);
+}
 
 TEST(Im2ColTest, OutDimFormula) {
   EXPECT_EQ(ConvOutDim(32, 3, 2, 1), 16);
@@ -182,7 +262,7 @@ TEST(Im2ColTest, IdentityKernelReproducesInput) {
   // 1x1 kernel, stride 1, no padding: im2col is the flattened image.
   Rng rng(42);
   Tensor img = RandomTensor(Shape{2, 4, 4}, &rng);
-  Tensor cols = Im2Col(img, 1, 1, 1, 0, 4, 4);
+  Tensor cols = Im2Col(img.data(), 2, 4, 4, 1, 1, 1, 0, 4, 4);
   EXPECT_EQ(cols.shape(), (Shape{2, 16}));
   for (int64_t i = 0; i < img.size(); ++i) EXPECT_EQ(cols[i], img[i]);
 }
@@ -190,7 +270,7 @@ TEST(Im2ColTest, IdentityKernelReproducesInput) {
 TEST(Im2ColTest, PatchContents) {
   // 3x3 image, 2x2 kernel, stride 1, no padding -> 4 patches.
   Tensor img(Shape{1, 3, 3}, std::vector<float>{1, 2, 3, 4, 5, 6, 7, 8, 9});
-  Tensor cols = Im2Col(img, 2, 2, 1, 0, 2, 2);
+  Tensor cols = Im2Col(img.data(), 1, 3, 3, 2, 2, 1, 0, 2, 2);
   EXPECT_EQ(cols.shape(), (Shape{4, 4}));
   // First patch (top-left) down the first column: 1, 2, 4, 5.
   EXPECT_EQ(cols.At2(0, 0), 1.0f);
@@ -204,7 +284,7 @@ TEST(Im2ColTest, PatchContents) {
 
 TEST(Im2ColTest, PaddingProducesZeros) {
   Tensor img(Shape{1, 2, 2}, std::vector<float>{1, 2, 3, 4});
-  Tensor cols = Im2Col(img, 3, 3, 1, 1, 2, 2);
+  Tensor cols = Im2Col(img.data(), 1, 2, 2, 3, 3, 1, 1, 2, 2);
   // Top-left patch's first row is entirely padding.
   EXPECT_EQ(cols.At2(0, 0), 0.0f);
   EXPECT_EQ(cols.At2(1, 0), 0.0f);
@@ -213,13 +293,63 @@ TEST(Im2ColTest, PaddingProducesZeros) {
   EXPECT_EQ(cols.At2(4, 0), 1.0f);
 }
 
+// The per-element bounds-checked loop im2col replaced: the reference its
+// clipped strided copy must match bit for bit.
+Tensor NaiveIm2Col(const Tensor& img, int k, int stride, int pad, int out_h,
+                   int out_w) {
+  int64_t channels = img.shape().dim(0);
+  int64_t height = img.shape().dim(1);
+  int64_t width = img.shape().dim(2);
+  Tensor out(Shape{channels * k * k, static_cast<int64_t>(out_h) * out_w});
+  for (int64_t c = 0; c < channels; ++c) {
+    for (int ky = 0; ky < k; ++ky) {
+      for (int kx = 0; kx < k; ++kx) {
+        int64_t row = (c * k + ky) * k + kx;
+        for (int oy = 0; oy < out_h; ++oy) {
+          for (int ox = 0; ox < out_w; ++ox) {
+            int64_t iy = oy * stride + ky - pad;
+            int64_t ix = ox * stride + kx - pad;
+            bool inside = iy >= 0 && iy < height && ix >= 0 && ix < width;
+            out.At2(row, oy * out_w + ox) = inside ? img.At3(c, iy, ix) : 0.0f;
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Grid over kernel x stride x pad on non-square images. With pad >= 1 and
+// a kernel smaller than pad + 1, whole output rows fall in the padding.
+TEST(Im2ColTest, MatchesNaiveReferenceOverGrid) {
+  Rng rng(44);
+  for (auto [h, w] : {std::pair{7, 5}, std::pair{4, 9}}) {
+    Tensor img = RandomTensor(Shape{2, h, w}, &rng);
+    for (int k : {1, 3, 5}) {
+      for (int stride : {1, 2, 3}) {
+        for (int pad : {0, 1, 2}) {
+          int out_h = ConvOutDim(h, k, stride, pad);
+          int out_w = ConvOutDim(w, k, stride, pad);
+          if (out_h <= 0 || out_w <= 0) continue;
+          SCOPED_TRACE(testing::Message() << h << "x" << w << " k=" << k
+                                          << " stride=" << stride
+                                          << " pad=" << pad);
+          ExpectBitIdentical(
+              Im2Col(img.data(), 2, h, w, k, k, stride, pad, out_h, out_w),
+              NaiveIm2Col(img, k, stride, pad, out_h, out_w));
+        }
+      }
+    }
+  }
+}
+
 // Property: col2im(im2col(x)) multiplies each pixel by the number of patches
 // covering it. With stride == kernel (non-overlapping), that count is 1.
 TEST(Im2ColTest, Col2ImRoundTripNonOverlapping) {
   Rng rng(43);
   Tensor img = RandomTensor(Shape{3, 8, 8}, &rng);
   int out = ConvOutDim(8, 2, 2, 0);
-  Tensor cols = Im2Col(img, 2, 2, 2, 0, out, out);
+  Tensor cols = Im2Col(img.data(), 3, 8, 8, 2, 2, 2, 0, out, out);
   Tensor back = Col2Im(cols, 3, 8, 8, 2, 2, 2, 0, out, out);
   ExpectTensorsNear(back, img, 1e-6f);
 }
@@ -288,7 +418,7 @@ TEST(Im2ColTest, Im2ColAttributesZeroFlops) {
   Rng rng(78);
   Tensor img = RandomTensor(Shape{2, 4, 4}, &rng);
   int out = ConvOutDim(4, 2, 2, 0);
-  Tensor cols = Im2Col(img, 2, 2, 2, 0, out, out);
+  Tensor cols = Im2Col(img.data(), 2, 4, 4, 2, 2, 2, 0, out, out);
   EXPECT_GT(cols.size(), 0);
   EXPECT_EQ(global.GetCounter("vdrift.ops.tensor.im2col.calls").value(),
             calls + 1);
@@ -301,7 +431,7 @@ TEST(Im2ColTest, Col2ImAccumulatesOverlaps) {
   Tensor img(Shape{1, 3, 3}, 1.0f);
   // 2x2 kernel, stride 1: center pixel is covered by 4 patches.
   int out = ConvOutDim(3, 2, 1, 0);
-  Tensor cols = Im2Col(img, 2, 2, 1, 0, out, out);
+  Tensor cols = Im2Col(img.data(), 1, 3, 3, 2, 2, 1, 0, out, out);
   Tensor back = Col2Im(cols, 1, 3, 3, 2, 2, 1, 0, out, out);
   EXPECT_EQ(back.At3(0, 1, 1), 4.0f);
   EXPECT_EQ(back.At3(0, 0, 0), 1.0f);
