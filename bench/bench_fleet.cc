@@ -13,10 +13,10 @@
 //
 // Self-healing knobs: VDRIFT_FLEET_CHECKPOINT_DIR arms per-shard
 // checkpointing (and with it restart/quarantine recovery);
-// VDRIFT_FLEET_CHAOS_SEED arms a seed-driven chaos campaign (shard kills
-// + checkpoint corruption) against the fleet; FleetOptions::ApplyEnv
-// overlays VDRIFT_FLEET_MANIFEST / VDRIFT_FLEET_MAX_RESTARTS /
-// VDRIFT_FLEET_BACKOFF_BASE.
+// VDRIFT_FLEET_MANIFEST arms coordinator crash recovery;
+// VDRIFT_FLEET_CHAOS_SEED (an integer in [0, INT64_MAX]; anything else
+// aborts) arms a seed-driven chaos campaign (shard kills + checkpoint
+// corruption) against the fleet.
 
 #include <chrono>
 #include <cstdio>
@@ -30,6 +30,7 @@
 #include "benchutil/metrics_report.h"
 #include "benchutil/table.h"
 #include "benchutil/workbench.h"
+#include "common/env.h"
 #include "fault/chaos.h"
 #include "fault/fault.h"
 #include "fault/faulty_stream.h"
@@ -47,14 +48,17 @@ int main(int argc, char** argv) {
   benchutil::Banner("Fleet serving: N concurrent drift-aware streams");
   benchutil::BenchHarness harness("fleet_serving");
   benchutil::WorkbenchOptions options = harness.MakeWorkbenchOptions();
-  auto bench = benchutil::BuildWorkbench("Tokyo", options).ValueOrDie();
 
+  // Knobs are read before the workbench is built so a typo fails fast.
   std::vector<fault::StreamFaultPlan> fault_plans;
-  const char* fault_env = std::getenv("VDRIFT_FLEET_FAULT_SPEC");
-  if (fault_env != nullptr && fault_env[0] != '\0') {
-    fault_plans = fault::ParsePerStreamFaultSpec(fault_env).ValueOrDie();
-    std::printf("  [fault] per-stream spec armed: %s\n", fault_env);
+  std::string fault_spec = env::String("VDRIFT_FLEET_FAULT_SPEC");
+  if (!fault_spec.empty()) {
+    fault_plans = fault::ParsePerStreamFaultSpec(fault_spec).ValueOrDie();
+    std::printf("  [fault] per-stream spec armed: %s\n", fault_spec.c_str());
   }
+  const int64_t chaos_seed =
+      env::Int("VDRIFT_FLEET_CHAOS_SEED", -1, 0, INT64_MAX);  // -1: unset
+  auto bench = benchutil::BuildWorkbench("Tokyo", options).ValueOrDie();
 
   std::vector<int> fleet_sizes =
       harness.config().smoke ? std::vector<int>{2} : std::vector<int>{2, 4, 8};
@@ -74,17 +78,13 @@ int main(int argc, char** argv) {
     fleet_options.max_concurrent = 4;
     fleet_options.sample_interval_rounds = 2;
     fleet_options.slo_spec = "default";
-    const char* ckpt_dir = std::getenv("VDRIFT_FLEET_CHECKPOINT_DIR");
-    if (ckpt_dir != nullptr && ckpt_dir[0] != '\0') {
-      fleet_options.checkpoint_dir = ckpt_dir;
-    }
-    fleet_options.ApplyEnv();
-    const char* chaos_env = std::getenv("VDRIFT_FLEET_CHAOS_SEED");
-    if (chaos_env != nullptr && chaos_env[0] != '\0') {
+    fleet_options.checkpoint_dir = env::String("VDRIFT_FLEET_CHECKPOINT_DIR");
+    fleet_options.manifest_path = env::String("VDRIFT_FLEET_MANIFEST");
+    if (chaos_seed >= 0) {
       std::vector<std::string> labels;
       for (int i = 0; i < n; ++i) labels.push_back("s" + std::to_string(i));
       fleet_options.chaos = fault::ChaosPlan::FromSeed(
-          std::strtoull(chaos_env, nullptr, 10), labels,
+          static_cast<uint64_t>(chaos_seed), labels,
           /*horizon_rounds=*/16);
       std::printf("  [chaos] campaign armed: %s\n",
                   fleet_options.chaos.ToString().c_str());

@@ -5,7 +5,7 @@
 // and ensemble Brier evaluation.
 //
 // Runs on the BenchHarness: each component is a stage of per-call latency
-// samples (VDRIFT_BENCH_REPEATS scales how many), reported with
+// samples (BenchConfig::repeats scales how many), reported with
 // p50/p90/p99 in the micro_components ledger record.
 
 #include <memory>

@@ -10,7 +10,7 @@
 // DI at least ~2x faster. Absolute numbers differ on CPU; the ratio is
 // the reproduced shape.
 //
-// Runs on the BenchHarness: VDRIFT_BENCH_{SMOKE,DATASET,SEED,LEDGER} steer
+// Runs on the BenchHarness: VDRIFT_BENCH_{SMOKE,DATASET,LEDGER} steer
 // the run and one table6_detection_time ledger record is appended;
 // VDRIFT_METRICS_JSON overrides the metrics report path. A drift-aware
 // pipeline pass over the last dataset is appended when any of the deeper
@@ -25,6 +25,7 @@
 // VDRIFT_METRICS_OPENMETRICS additionally exports the global registry in
 // the OpenMetrics text exposition format.
 
+#include <climits>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -33,6 +34,7 @@
 #include "benchutil/metrics_report.h"
 #include "benchutil/table.h"
 #include "benchutil/workbench.h"
+#include "common/env.h"
 #include "core/drift_inspector.h"
 #include "baseline/odin.h"
 #include "fault/fault.h"
@@ -62,6 +64,13 @@ int main() {
   benchutil::Banner("Table 6: drift detection time (s), DI vs ODIN-Detect");
   benchutil::BenchHarness harness("table6_detection_time");
   benchutil::WorkbenchOptions options = harness.MakeWorkbenchOptions();
+  // The pipeline pass's knobs, read up front so a typo fails fast.
+  pipeline::PipelineObsOptions obs_options;
+  obs_options.sample_interval_frames = static_cast<int>(
+      env::Int("VDRIFT_SAMPLE_INTERVAL", 0, 0, INT_MAX));
+  obs_options.slo_spec = env::String("VDRIFT_SLO_SPEC");
+  obs_options.jsonl_path = env::String("VDRIFT_METRICS_JSONL");
+  fault::FaultPlan fault_plan = fault::FaultPlan::FromEnv();
   benchutil::Table table({"Dataset", "Drift Inspector", "ODIN-Detect",
                           "speedup", "paper (DI / ODIN)"});
   obs::EpisodeRecorder episodes;
@@ -159,9 +168,6 @@ int main() {
   // SLO watchdog gets evaluated against it (with VDRIFT_FAULT_SPEC set,
   // against an injected-fault run). Last so the trace events survive any
   // ring wraparound from the long loops above.
-  pipeline::PipelineObsOptions obs_options =
-      pipeline::PipelineObsOptions::FromEnv();
-  fault::FaultPlan fault_plan = fault::FaultPlan::FromEnv();
   std::shared_ptr<obs::HealthWatchdog> watchdog;
   bool pass_armed = obs::TraceLog::Instance().enabled() ||
                     obs_options.sample_interval_frames > 0 ||

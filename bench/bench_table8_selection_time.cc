@@ -7,7 +7,7 @@
 // magnitude faster overall. Absolute values differ at CPU scale; the
 // orders-of-magnitude gap is the reproduced shape.
 //
-// Runs on the BenchHarness: VDRIFT_BENCH_{SMOKE,DATASET,SEED,LEDGER} steer
+// Runs on the BenchHarness: VDRIFT_BENCH_{SMOKE,DATASET,LEDGER} steer
 // the run and one table8_selection_time ledger record is appended;
 // VDRIFT_METRICS_JSON overrides the metrics report path.
 

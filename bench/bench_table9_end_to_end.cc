@@ -7,7 +7,7 @@
 // faster than ODIN, ~4x faster than YOLO, an order of magnitude faster
 // than Mask R-CNN; the same ordering is the reproduced shape here.
 //
-// Runs on the BenchHarness: VDRIFT_BENCH_{SMOKE,DATASET,SEED,LEDGER} steer
+// Runs on the BenchHarness: VDRIFT_BENCH_{SMOKE,DATASET,LEDGER} steer
 // the run and one table9_end_to_end ledger record is appended. Each
 // system contributes an `<ds>.<system>.total` stage; the drift-aware
 // pipelines additionally import their per-frame detect/select/query

@@ -1,9 +1,9 @@
 #include "benchutil/bench_harness.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "obs/timer.h"
 #include "obs/trace_log.h"
@@ -18,32 +18,6 @@ namespace {
 /// timings through RecordStageSeconds — the summary histogram stays
 /// exact, the raw tail is dropped.
 constexpr size_t kMaxRawSamplesPerStage = 4096;
-
-bool EnvFlagSet(const char* name) {
-  // vdrift-lint: allow(no-ambient-nondeterminism): bench env-knob chokepoint
-  const char* value = std::getenv(name);
-  return value != nullptr && value[0] != '\0' &&
-         std::string(value) != "0";
-}
-
-long EnvLongOr(const char* name, long fallback) {
-  // vdrift-lint: allow(no-ambient-nondeterminism): bench env-knob chokepoint
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  char* end = nullptr;
-  long parsed = std::strtol(value, &end, 10);
-  if (end == value) {
-    VDRIFT_LOG_WARNING << "ignoring unparsable " << name << "=" << value;
-    return fallback;
-  }
-  return parsed;
-}
-
-std::string EnvStringOr(const char* name, const std::string& fallback) {
-  // vdrift-lint: allow(no-ambient-nondeterminism): bench env-knob chokepoint
-  const char* value = std::getenv(name);
-  return value != nullptr && value[0] != '\0' ? value : fallback;
-}
 
 void MergeSnapshot(obs::Histogram::Snapshot* into,
                    const obs::Histogram::Snapshot& from) {
@@ -95,7 +69,7 @@ double HeadlineThroughput(
 }  // namespace
 
 std::string GitRevision() {
-  std::string rev = EnvStringOr("VDRIFT_GIT_REV", "");
+  std::string rev = env::String("VDRIFT_GIT_REV");
   if (!rev.empty()) return rev;
   FILE* pipe = ::popen("git rev-parse --short=12 HEAD 2>/dev/null", "r");
   if (pipe != nullptr) {
@@ -113,7 +87,7 @@ std::string GitRevision() {
 
 BenchHarness::BenchHarness(const std::string& name) {
   config_.name = name;
-  config_.smoke = EnvFlagSet("VDRIFT_BENCH_SMOKE");
+  config_.smoke = env::Flag("VDRIFT_BENCH_SMOKE");
   if (config_.smoke) {
     // Smoke mode is a liveness gate for CI, not a measurement: one pass,
     // no warmup, and the smallest dataset unless told otherwise.
@@ -121,21 +95,13 @@ BenchHarness::BenchHarness(const std::string& name) {
     config_.warmup = 0;
     config_.dataset_filter = "Tokyo";
   }
-  config_.repeats = static_cast<int>(
-      EnvLongOr("VDRIFT_BENCH_REPEATS", config_.repeats));
-  if (config_.repeats < 1) config_.repeats = 1;
-  config_.warmup = static_cast<int>(
-      EnvLongOr("VDRIFT_BENCH_WARMUP", config_.warmup));
-  if (config_.warmup < 0) config_.warmup = 0;
-  config_.seed = static_cast<uint64_t>(EnvLongOr(
-      "VDRIFT_BENCH_SEED", static_cast<long>(config_.seed)));
   config_.dataset_filter =
-      EnvStringOr("VDRIFT_BENCH_DATASET", config_.dataset_filter);
+      env::String("VDRIFT_BENCH_DATASET", config_.dataset_filter);
   // A .jsonl path is the ledger file itself; anything else is a directory
   // holding one ledger per bench.
   const std::string suffix = ".jsonl";
   std::string ledger =
-      EnvStringOr("VDRIFT_BENCH_LEDGER", "bench_" + name + suffix);
+      env::String("VDRIFT_BENCH_LEDGER", "bench_" + name + suffix);
   bool is_file = ledger.size() > suffix.size() &&
                  ledger.compare(ledger.size() - suffix.size(), suffix.size(),
                                 suffix) == 0;

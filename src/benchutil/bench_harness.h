@@ -14,17 +14,17 @@ namespace vdrift::benchutil {
 
 /// \brief Resolved run parameters of one bench process.
 ///
-/// Filled from the environment so CI, tools/run_bench_suite.sh and ad-hoc
-/// shells all steer benches the same way:
-///   VDRIFT_BENCH_SMOKE    nonzero => 1 repeat, no warmup, tiny workbench,
+/// Filled from the environment (common/env.h readers) so CI,
+/// tools/run_bench_suite.sh and ad-hoc shells all steer benches the same
+/// way:
+///   VDRIFT_BENCH_SMOKE    flag => 1 repeat, no warmup, tiny workbench,
 ///                         dataset filter defaults to "Tokyo"
-///   VDRIFT_BENCH_REPEATS  measured repetitions per Repeat() block
-///   VDRIFT_BENCH_WARMUP   unmeasured warmup repetitions per Repeat() block
-///   VDRIFT_BENCH_SEED     base RNG seed (also seeds the workbench)
 ///   VDRIFT_BENCH_DATASET  only run datasets whose name matches exactly
 ///   VDRIFT_BENCH_LEDGER   run-ledger sink: a .jsonl file, or a directory
 ///                         (record appends to <dir>/<name>.jsonl). Unset =
 ///                         bench_<name>.jsonl in the working directory.
+/// repeats, warmup and seed are fixed defaults (smoke shrinks the first
+/// two); the ledger record carries all three.
 struct BenchConfig {
   std::string name;
   int repeats = 5;

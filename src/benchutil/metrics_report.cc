@@ -1,9 +1,9 @@
 #include "benchutil/metrics_report.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "benchutil/table.h"
+#include "common/env.h"
 #include "common/status.h"
 #include "obs/openmetrics.h"
 #include "obs/report.h"
@@ -57,11 +57,7 @@ std::string EmitMetricsJson(const obs::MetricsRegistry& registry,
                             const obs::EpisodeRecorder* episodes,
                             const obs::HealthWatchdog* watchdog,
                             const std::string& default_path) {
-  // vdrift-lint: allow(no-ambient-nondeterminism): documented export knob
-  const char* override_path = std::getenv("VDRIFT_METRICS_JSON");
-  std::string path = override_path != nullptr && override_path[0] != '\0'
-                         ? override_path
-                         : default_path;
+  std::string path = env::String("VDRIFT_METRICS_JSON", default_path);
   Status status = obs::WriteMetricsJson(registry, episodes, watchdog, path);
   if (!status.ok()) {
     std::fprintf(stderr, "metrics report not written: %s\n",
@@ -73,16 +69,15 @@ std::string EmitMetricsJson(const obs::MetricsRegistry& registry,
 }
 
 std::string EmitOpenMetrics(const obs::MetricsRegistry& registry) {
-  // vdrift-lint: allow(no-ambient-nondeterminism): documented export knob
-  const char* path = std::getenv("VDRIFT_METRICS_OPENMETRICS");
-  if (path == nullptr || path[0] == '\0') return "";
+  std::string path = env::String("VDRIFT_METRICS_OPENMETRICS");
+  if (path.empty()) return "";
   Status status = obs::WriteOpenMetrics(registry, path);
   if (!status.ok()) {
     std::fprintf(stderr, "openmetrics export not written: %s\n",
                  status.ToString().c_str());
     return "";
   }
-  std::printf("openmetrics export written to %s\n", path);
+  std::printf("openmetrics export written to %s\n", path.c_str());
   return path;
 }
 

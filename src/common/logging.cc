@@ -4,6 +4,8 @@
 #include <cctype>
 #include <cstdio>
 
+#include "common/env.h"
+
 namespace vdrift {
 namespace {
 
@@ -21,11 +23,17 @@ const char* LevelName(LogLevel level) {
   return "?";
 }
 
+// The one knob that never aborts: VDRIFT_CHECK logs, and logging is what
+// is being initialised here, so an unknown level keeps kInfo and says so
+// on a raw stderr line.
 LogLevel LevelFromEnv() {
   LogLevel level = LogLevel::kInfo;
-  // vdrift-lint: allow(no-ambient-nondeterminism): documented log-level knob
-  const char* env = std::getenv("VDRIFT_LOG_LEVEL");
-  if (env != nullptr) ParseLogLevel(env, &level);
+  std::string name = env::String("VDRIFT_LOG_LEVEL");
+  if (!name.empty() && !ParseLogLevel(name, &level)) {
+    std::fprintf(stderr,
+                 "ignoring unknown VDRIFT_LOG_LEVEL='%s', using info\n",
+                 name.c_str());
+  }
   return level;
 }
 

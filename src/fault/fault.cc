@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 
@@ -160,9 +161,8 @@ Result<std::vector<StreamFaultPlan>> ParsePerStreamFaultSpec(
 }
 
 FaultPlan FaultPlan::FromEnv() {
-  // vdrift-lint: allow(no-ambient-nondeterminism): documented fault knob
-  const char* spec = std::getenv("VDRIFT_FAULT_SPEC");
-  if (spec == nullptr || spec[0] == '\0') return FaultPlan{};
+  std::string spec = env::String("VDRIFT_FAULT_SPEC");
+  if (spec.empty()) return FaultPlan{};
   Result<FaultPlan> plan = Parse(spec);
   VDRIFT_CHECK(plan.ok()) << "VDRIFT_FAULT_SPEC invalid: "
                           << plan.status().ToString();

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <memory>
 
+#include "common/env.h"
 #include "common/logging.h"
 
 namespace vdrift::obs {
@@ -29,17 +30,6 @@ std::atomic<bool> g_armed{false};
 /// Set (once, before any handler can be installed) by Instance(); the
 /// handler reads members through it.
 SamplingProfiler* g_instance = nullptr;
-
-long EnvLongOr(const char* name, long fallback) {
-  // vdrift-lint: allow(no-ambient-nondeterminism): profiler env-knob
-  // chokepoint (VDRIFT_PROFILE_HZ / VDRIFT_PROFILE_CAPACITY)
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  char* end = nullptr;
-  long parsed = std::strtol(value, &end, 10);
-  if (end == value) return fallback;
-  return parsed;
-}
 
 }  // namespace
 
@@ -176,22 +166,13 @@ SamplingProfiler& SamplingProfiler::Instance() {
   static SamplingProfiler* profiler = [] {
     auto* instance = new SamplingProfiler();
     g_instance = instance;
-    // vdrift-lint: allow(no-ambient-nondeterminism): documented profiler
-    // knob (VDRIFT_PROFILE_FOLDED)
-    const char* path = std::getenv("VDRIFT_PROFILE_FOLDED");
-    if (path != nullptr && *path != '\0') {
-      Options options;
-      if (long hz = EnvLongOr("VDRIFT_PROFILE_HZ", 0); hz > 0) {
-        options.sample_hz = static_cast<int>(hz);
-      }
-      if (long cap = EnvLongOr("VDRIFT_PROFILE_CAPACITY", 0); cap > 0) {
-        options.per_thread_capacity = static_cast<int>(cap);
-      }
+    std::string path = env::String("VDRIFT_PROFILE_FOLDED");
+    if (!path.empty()) {
       {
         MutexLock lock(&instance->mutex_);
         instance->export_path_ = path;
       }
-      Status status = instance->Start(options);
+      Status status = instance->Start();
       if (!status.ok()) {
         VDRIFT_LOG_WARNING << "profiler not started: " << status.ToString();
       }
@@ -379,7 +360,7 @@ Status SamplingProfiler::WriteFolded(const std::string& path) {
   if (dropped > 0) {
     VDRIFT_LOG_WARNING << "profiler dropped " << dropped
                        << " samples (per-thread buffer filled); raise "
-                          "VDRIFT_PROFILE_CAPACITY for longer profiles";
+                          "Options::per_thread_capacity for longer profiles";
   }
   if (unattributed > 0) {
     VDRIFT_LOG_WARNING << "profiler took " << unattributed

@@ -36,10 +36,9 @@ namespace vdrift::obs {
 /// discipline as the flight recorder's enabled() gate).
 ///
 /// Environment (read once at Instance() first use):
-///   VDRIFT_PROFILE_FOLDED    path; arms the profiler at startup and writes
-///                            the folded aggregate there at process exit
-///   VDRIFT_PROFILE_HZ        sampling rate (default 199 Hz of CPU time)
-///   VDRIFT_PROFILE_CAPACITY  samples retained per thread (default 1<<15)
+///   VDRIFT_PROFILE_FOLDED    path; arms the profiler at startup with the
+///                            default Options and writes the folded
+///                            aggregate there at process exit
 class SamplingProfiler {
  public:
   struct Options {
@@ -60,10 +59,9 @@ class SamplingProfiler {
     int64_t ts_ns = 0;  ///< CLOCK_MONOTONIC at sample time.
   };
 
-  /// The process-wide profiler. First use reads VDRIFT_PROFILE_FOLDED /
-  /// VDRIFT_PROFILE_HZ / VDRIFT_PROFILE_CAPACITY; when a folded path is
-  /// configured the profiler starts immediately and an atexit hook stops,
-  /// drains and writes the folded aggregate.
+  /// The process-wide profiler. First use reads VDRIFT_PROFILE_FOLDED;
+  /// when a folded path is configured the profiler starts immediately and
+  /// an atexit hook stops, drains and writes the folded aggregate.
   static SamplingProfiler& Instance();
 
   /// Installs the SIGPROF handler and arms ITIMER_PROF. Idempotent while

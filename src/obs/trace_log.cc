@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <utility>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "obs/json.h"
 #include "obs/profiler.h"
@@ -19,13 +19,6 @@ namespace {
 // -1 = not yet read from VDRIFT_KERNEL_PROFILE, else 0/1.
 std::atomic<int> g_kernel_profiling{-1};
 
-bool EnvFlagSet(const char* name) {
-  // vdrift-lint: allow(no-ambient-nondeterminism): trace env-knob chokepoint
-  const char* value = std::getenv(name);
-  return value != nullptr && *value != '\0' &&
-         std::strcmp(value, "0") != 0;
-}
-
 }  // namespace
 
 void SetKernelProfiling(bool enabled) {
@@ -35,7 +28,7 @@ void SetKernelProfiling(bool enabled) {
 bool KernelProfilingEnabled() {
   int state = g_kernel_profiling.load(std::memory_order_relaxed);
   if (state < 0) {
-    state = EnvFlagSet("VDRIFT_KERNEL_PROFILE") ? 1 : 0;
+    state = env::Flag("VDRIFT_KERNEL_PROFILE") ? 1 : 0;
     g_kernel_profiling.store(state, std::memory_order_relaxed);
   }
   return state != 0;
@@ -58,16 +51,9 @@ struct TraceLog::ThreadRing {
 TraceLog& TraceLog::Instance() {
   static TraceLog* log = [] {
     auto* instance = new TraceLog();
-    // vdrift-lint: allow(no-ambient-nondeterminism): documented trace knob
-    const char* path = std::getenv("VDRIFT_TRACE_JSON");
-    if (path != nullptr && *path != '\0') {
-      Options options;
-      // vdrift-lint: allow(no-ambient-nondeterminism): documented trace knob
-      if (const char* cap = std::getenv("VDRIFT_TRACE_CAPACITY");
-          cap != nullptr && std::atoi(cap) > 0) {
-        options.per_thread_capacity = std::atoi(cap);
-      }
-      instance->Enable(options);
+    std::string path = env::String("VDRIFT_TRACE_JSON");
+    if (!path.empty()) {
+      instance->Enable();
       {
         MutexLock lock(&instance->rings_mutex_);
         instance->export_path_ = path;
@@ -254,7 +240,7 @@ Status TraceLog::WriteChromeJson(const std::string& path) {
   if (dropped > 0) {
     VDRIFT_LOG_WARNING << "flight recorder dropped " << dropped
                        << " events (ring wrapped); raise "
-                          "VDRIFT_TRACE_CAPACITY for a longer window";
+                          "Options::per_thread_capacity for a longer window";
   }
   return Status::OK();
 }

@@ -50,13 +50,13 @@ struct TraceEvent {
 class TraceLog {
  public:
   struct Options {
-    /// Events retained per thread before the ring wraps. Overridable via
-    /// VDRIFT_TRACE_CAPACITY when the recorder is enabled by environment.
+    /// Events retained per thread before the ring wraps.
     int per_thread_capacity = 1 << 17;
   };
 
-  /// The process-wide recorder. First use reads VDRIFT_TRACE_JSON (and
-  /// VDRIFT_TRACE_CAPACITY) and arms the exit-time export when set.
+  /// The process-wide recorder. First use reads VDRIFT_TRACE_JSON and,
+  /// when it is set, enables the default Options and arms the exit-time
+  /// export.
   static TraceLog& Instance();
 
   /// Starts recording (idempotent; resets the trace epoch and drops any

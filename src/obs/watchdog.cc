@@ -199,6 +199,7 @@ Result<SloRule> ParseRule(const std::string& text) {
 }  // namespace
 
 Result<std::vector<SloRule>> ParseSloSpec(const std::string& spec) {
+  if (spec == "default") return ParseSloSpec(DefaultSloSpec());
   std::vector<SloRule> rules;
   size_t begin = 0;
   while (begin <= spec.size()) {

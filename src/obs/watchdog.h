@@ -44,10 +44,11 @@ struct SloRule {
 /// `vdrift.pipeline.frames:total<0.02;oblivious=vdrift.pipeline.`
 /// `drift_oblivious==0,for=2`. Metric names may carry label blocks
 /// (`name{k="v"}`); operators inside quoted label values are ignored by
-/// the scanner. Malformed rules are kInvalidArgument.
+/// the scanner. Malformed rules are kInvalidArgument. The whole spec
+/// "default" stands for DefaultSloSpec().
 Result<std::vector<SloRule>> ParseSloSpec(const std::string& spec);
 
-/// The built-in rule set armed by `VDRIFT_SLO_SPEC=default`. Every rule is
+/// The built-in rule set armed by the spec "default". Every rule is
 /// deterministic in stream time (no wall-clock latency bounds), so a clean
 /// run raises zero alerts on any machine.
 std::string DefaultSloSpec();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 
 #include "common/logging.h"
@@ -67,25 +66,6 @@ bool AllFinite(const tensor::Tensor& tensor) {
 }
 
 }  // namespace
-
-PipelineObsOptions PipelineObsOptions::FromEnv() {
-  PipelineObsOptions options;
-  // vdrift-lint: allow(no-ambient-nondeterminism): documented env knob
-  if (const char* v = std::getenv("VDRIFT_SAMPLE_INTERVAL")) {
-    options.sample_interval_frames = std::max(0, std::atoi(v));
-  }
-  // vdrift-lint: allow(no-ambient-nondeterminism): documented env knob
-  if (const char* v = std::getenv("VDRIFT_SLO_SPEC")) options.slo_spec = v;
-  // vdrift-lint: allow(no-ambient-nondeterminism): documented env knob
-  if (const char* v = std::getenv("VDRIFT_METRICS_JSONL")) {
-    options.jsonl_path = v;
-  }
-  // vdrift-lint: allow(no-ambient-nondeterminism): documented env knob
-  if (const char* v = std::getenv("VDRIFT_STREAM_LABEL")) {
-    options.stream_label = v;
-  }
-  return options;
-}
 
 SequenceAccuracy PipelineMetrics::Totals() const {
   SequenceAccuracy total;
@@ -173,11 +153,9 @@ void DriftAwarePipeline::AttachRunObservability() {
   metrics_.sampler = std::make_shared<obs::MetricsSampler>(
       metrics_.registry.get(), sampler_options);
   if (obs.slo_spec.empty()) return;
-  std::string spec =
-      obs.slo_spec == "default" ? obs::DefaultSloSpec() : obs.slo_spec;
-  Result<std::vector<obs::SloRule>> rules = obs::ParseSloSpec(spec);
+  Result<std::vector<obs::SloRule>> rules = obs::ParseSloSpec(obs.slo_spec);
   if (!rules.ok()) {
-    // A typo in VDRIFT_SLO_SPEC must not kill the serving run.
+    // A typo in the SLO spec must not kill the serving run.
     VDRIFT_LOG_WARNING << "SLO watchdog disabled: "
                        << rules.status().ToString();
     return;

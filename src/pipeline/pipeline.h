@@ -100,7 +100,7 @@ struct PipelineObsOptions {
   /// Sampler ring capacity (the JSONL sink keeps the full series).
   int max_windows = 1024;
   /// SLO rule spec (obs::ParseSloSpec grammar). "" runs without a
-  /// watchdog; the literal "default" arms obs::DefaultSloSpec(). A spec
+  /// watchdog; "default" arms obs::DefaultSloSpec(). A spec
   /// that fails to parse logs a warning and disarms the watchdog rather
   /// than failing the run.
   std::string slo_spec;
@@ -115,11 +115,6 @@ struct PipelineObsOptions {
   /// labeled per-stream series and unlabeled aggregates coexist. Pair with
   /// a unique stream_label per pipeline.
   std::shared_ptr<obs::MetricsRegistry> shared_registry;
-
-  /// Reads VDRIFT_SAMPLE_INTERVAL, VDRIFT_SLO_SPEC, VDRIFT_METRICS_JSONL,
-  /// and VDRIFT_STREAM_LABEL. Unset variables keep the defaults above, so
-  /// an unconfigured environment costs nothing.
-  static PipelineObsOptions FromEnv();
 };
 
 /// \brief Everything a pipeline run reports.
@@ -209,8 +204,7 @@ struct PipelineConfig {
   /// injection check is a single pointer test on the drift-handling path,
   /// never per frame.
   fault::FaultInjector* injector = nullptr;
-  /// Sampler / SLO watchdog / JSONL exporter wiring (disabled by default;
-  /// PipelineObsOptions::FromEnv() arms it from the environment).
+  /// Sampler / SLO watchdog / JSONL exporter wiring (disabled by default).
   PipelineObsOptions obs;
 };
 

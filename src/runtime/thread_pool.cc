@@ -1,10 +1,9 @@
 #include "runtime/thread_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
+#include <cstdint>
 
-#include "common/logging.h"
+#include "common/env.h"
 #include "obs/timer.h"
 #include "obs/trace_log.h"
 
@@ -20,22 +19,10 @@ thread_local int t_task_depth = 0;
 }  // namespace
 
 int DefaultThreads() {
-  // vdrift-lint: allow(no-ambient-nondeterminism): VDRIFT_THREADS is the
-  // documented thread-count knob; determinism across its values is the
-  // runtime's contract (bitwise-identical reduce order).
-  const char* env = std::getenv("VDRIFT_THREADS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    long value = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || value < 0) {
-      VDRIFT_LOG_WARNING << "unparsable VDRIFT_THREADS='" << env
-                         << "', running serial";
-      return 1;
-    }
-    if (value > 0) {
-      return static_cast<int>(std::min<long>(value, kMaxThreads));
-    }
-    // 0 falls through to "all hardware threads".
+  // 0 means "all hardware threads".
+  int64_t threads = env::Int("VDRIFT_THREADS", 0, 0, INT64_MAX);
+  if (threads > 0) {
+    return static_cast<int>(std::min<int64_t>(threads, kMaxThreads));
   }
   unsigned hardware = std::thread::hardware_concurrency();
   return hardware == 0

@@ -15,7 +15,7 @@ namespace vdrift::runtime {
 
 /// Worker count resolved from `VDRIFT_THREADS`: a positive value is taken
 /// verbatim (clamped to 512), unset/empty/0 means "all hardware threads",
-/// and anything unparsable falls back to 1 (serial).
+/// and a value that is not a non-negative integer aborts (env::Int).
 int DefaultThreads();
 
 /// \brief Work-sharing thread pool behind ParallelFor / ParallelReduce.

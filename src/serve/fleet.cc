@@ -1,7 +1,6 @@
 #include "serve/fleet.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "common/logging.h"
@@ -26,31 +25,7 @@ constexpr const char* kAggregatedCounters[] = {
     "vdrift.pipeline.checkpoint_failures",
 };
 
-int64_t ParseEnvInt(const char* name, int64_t lo, int64_t hi,
-                    int64_t fallback) {
-  // vdrift-lint: allow(no-ambient-nondeterminism): documented fleet knob
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || raw[0] == '\0') return fallback;
-  char* end = nullptr;
-  long long parsed = std::strtoll(raw, &end, 10);
-  // vdrift-lint: allow(no-data-dependent-check): env config contract
-  VDRIFT_CHECK(end != raw && *end == '\0' && parsed >= lo && parsed <= hi)
-      << name << " must be an integer in [" << lo << ", " << hi
-      << "], got '" << raw << "'";
-  return static_cast<int64_t>(parsed);
-}
-
 }  // namespace
-
-void FleetOptions::ApplyEnv() {
-  // vdrift-lint: allow(no-ambient-nondeterminism): documented fleet knob
-  const char* manifest = std::getenv("VDRIFT_FLEET_MANIFEST");
-  if (manifest != nullptr && manifest[0] != '\0') manifest_path = manifest;
-  max_restarts = static_cast<int>(ParseEnvInt(
-      "VDRIFT_FLEET_MAX_RESTARTS", 0, 1 << 20, max_restarts));
-  backoff_base = static_cast<int>(ParseEnvInt(
-      "VDRIFT_FLEET_BACKOFF_BASE", 0, 1 << 20, backoff_base));
-}
 
 DriftFleet::DriftFleet(const FleetOptions& options)
     : options_(options),
@@ -67,10 +42,8 @@ DriftFleet::DriftFleet(const FleetOptions& options)
     sampler_ = std::make_shared<obs::MetricsSampler>(registry_.get(),
                                                      sampler_options);
     if (!options_.slo_spec.empty()) {
-      std::string spec = options_.slo_spec == "default"
-                             ? obs::DefaultSloSpec()
-                             : options_.slo_spec;
-      Result<std::vector<obs::SloRule>> rules = obs::ParseSloSpec(spec);
+      Result<std::vector<obs::SloRule>> rules =
+          obs::ParseSloSpec(options_.slo_spec);
       if (rules.ok()) {
         watchdog_ =
             std::make_shared<obs::HealthWatchdog>(std::move(rules).value());

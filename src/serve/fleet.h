@@ -94,12 +94,6 @@ struct FleetOptions {
   /// Seed-driven chaos schedule (kill shards, corrupt checkpoints /
   /// manifests, kill the coordinator). Empty = no chaos.
   fault::ChaosPlan chaos;
-
-  /// Overlays the documented env knobs onto this options struct:
-  /// VDRIFT_FLEET_MANIFEST, VDRIFT_FLEET_MAX_RESTARTS,
-  /// VDRIFT_FLEET_BACKOFF_BASE. Malformed numeric values abort (a chaos
-  /// campaign with a typo'd budget silently testing nothing is worse).
-  void ApplyEnv();
 };
 
 /// \brief One stream's outcome.

@@ -3,7 +3,6 @@
 // (train -> save -> load must give bit-identical model behaviour).
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -16,6 +15,7 @@
 #include "benchutil/table.h"
 #include "benchutil/workbench.h"
 #include "obs/json.h"
+#include "scoped_env.h"
 #include "video/stream.h"
 
 namespace vdrift::benchutil {
@@ -51,16 +51,12 @@ TEST(EmitMetricsJsonTest, EmptyOverrideMeansTheDefaultPath) {
                       "vdrift_emit_default_metrics.json")
                          .string();
   std::filesystem::remove(path);
-  const char* old = std::getenv("VDRIFT_METRICS_JSON");
-  std::string saved = old != nullptr ? old : "";
-  setenv("VDRIFT_METRICS_JSON", "", 1);
   obs::MetricsRegistry registry;
   registry.GetCounter("c").Increment();
-  std::string written = EmitMetricsJson(registry, nullptr, nullptr, path);
-  if (old != nullptr) {
-    setenv("VDRIFT_METRICS_JSON", saved.c_str(), 1);
-  } else {
-    unsetenv("VDRIFT_METRICS_JSON");
+  std::string written;
+  {
+    ScopedEnv empty("VDRIFT_METRICS_JSON", "");
+    written = EmitMetricsJson(registry, nullptr, nullptr, path);
   }
   EXPECT_EQ(written, path);
   std::ifstream in(path);

@@ -1,4 +1,5 @@
-// Tests for the Status / Result error model.
+// Tests for the Status / Result error model, logging, file helpers and the
+// environment readers.
 
 #include <cstdio>
 #include <string>
@@ -8,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include "common/binio.h"
+#include "common/env.h"
 #include "common/logging.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "scoped_env.h"
 
 namespace vdrift {
 namespace {
@@ -192,6 +195,69 @@ TEST(LoggingDeathTest, CheckFailureAborts) {
 
 TEST(LoggingDeathTest, CheckOkAbortsOnError) {
   EXPECT_DEATH({ VDRIFT_CHECK_OK(Status::Internal("broken")); }, "broken");
+}
+
+// A knob no code reads, so the cases below cannot disturb anything.
+constexpr char kKnob[] = "VDRIFT_TEST_KNOB";
+
+TEST(EnvTest, StringFallsBackOnlyWhenUnsetOrEmpty) {
+  struct Case {
+    const char* value;  // nullptr = unset
+    std::string expected;
+  };
+  for (const Case& c : {Case{nullptr, "fallback"}, Case{"", "fallback"},
+                        Case{"out/metrics.json", "out/metrics.json"}}) {
+    ScopedEnv knob(kKnob, c.value);
+    EXPECT_EQ(env::String(kKnob, "fallback"), c.expected)
+        << (c.value == nullptr ? "(unset)" : c.value);
+  }
+  ScopedEnv unset(kKnob, nullptr);
+  EXPECT_EQ(env::String(kKnob), "");
+}
+
+TEST(EnvTest, FlagIsOffOnlyWhenUnsetEmptyOrZero) {
+  struct Case {
+    const char* value;
+    bool expected;
+  };
+  for (const Case& c : {Case{nullptr, false}, Case{"", false},
+                        Case{"0", false}, Case{"1", true},
+                        Case{"yes", true}}) {
+    ScopedEnv knob(kKnob, c.value);
+    EXPECT_EQ(env::Flag(kKnob), c.expected)
+        << (c.value == nullptr ? "(unset)" : c.value);
+  }
+}
+
+TEST(EnvTest, IntReadsWholeBase10ValuesInsideTheRange) {
+  struct Case {
+    const char* value;
+    int64_t expected;
+  };
+  for (const Case& c : {Case{nullptr, 7}, Case{"", 7}, Case{"42", 42},
+                        Case{"0", 0}, Case{"-5", -5}, Case{"100", 100}}) {
+    ScopedEnv knob(kKnob, c.value);
+    EXPECT_EQ(env::Int(kKnob, 7, -5, 100), c.expected)
+        << (c.value == nullptr ? "(unset)" : c.value);
+  }
+  // The fallback marks "unset" and need not be inside the range.
+  ScopedEnv unset(kKnob, nullptr);
+  EXPECT_EQ(env::Int(kKnob, -1, 0, INT64_MAX), -1);
+  ScopedEnv max(kKnob, "9223372036854775807");
+  EXPECT_EQ(env::Int(kKnob, -1, 0, INT64_MAX), INT64_MAX);
+}
+
+TEST(EnvDeathTest, IntAbortsNamingTheKnobAndTheValue) {
+  // Trailing garbage, leading garbage, leading space, no digits, a
+  // fraction, out of range on either side, and int64 overflow.
+  for (const char* value : {"32k", "k32", " 5", "-", "4.5", "101", "-6",
+                            "99999999999999999999"}) {
+    ScopedEnv knob(kKnob, value);
+    EXPECT_DEATH(env::Int(kKnob, 7, -5, 100),
+                 std::string(kKnob) + " must be an integer in \\[-5, 100\\], "
+                 "got '" + value + "'")
+        << value;
+  }
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
@@ -16,6 +15,7 @@
 #include "obs/metrics.h"
 #include "obs/trace_log.h"
 #include "runtime/thread_pool.h"
+#include "scoped_env.h"
 
 namespace vdrift::benchutil {
 namespace {
@@ -168,35 +168,6 @@ TEST(CollectKernelStatsTest, HarvestsOpProbeInstruments) {
   EXPECT_DOUBLE_EQ(kernels.at("test.collect_op").seconds, 0.5);
   EXPECT_EQ(kernels.count("unrelated.counter"), 0u);
 }
-
-/// Sets an env var for one scope and restores the previous state after.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_, old_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 TEST(BenchHarnessRecordTest, RecordsTheThreadCountTheRuntimeResolves) {
   // 0 means "every hardware thread" to the runtime; the record must say

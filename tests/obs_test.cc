@@ -507,6 +507,27 @@ TEST(WatchdogTest, ParseRejectsMalformedSpecs) {
   EXPECT_TRUE(ParseSloSpec(DefaultSloSpec()).ok());
 }
 
+TEST(WatchdogTest, DefaultNamesTheDefaultRules) {
+  auto aliased = ParseSloSpec("default");
+  auto spelled = ParseSloSpec(DefaultSloSpec());
+  ASSERT_TRUE(aliased.ok()) << aliased.status().ToString();
+  ASSERT_TRUE(spelled.ok()) << spelled.status().ToString();
+  ASSERT_EQ(aliased.value().size(), spelled.value().size());
+  ASSERT_FALSE(aliased.value().empty());
+  for (size_t i = 0; i < spelled.value().size(); ++i) {
+    const SloRule& a = aliased.value()[i];
+    const SloRule& b = spelled.value()[i];
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.numerator.metric, b.numerator.metric);
+    EXPECT_EQ(a.numerator.agg, b.numerator.agg);
+    EXPECT_EQ(a.denominator.metric, b.denominator.metric);
+    EXPECT_EQ(a.denominator.agg, b.denominator.agg);
+    EXPECT_EQ(a.op, b.op);
+    EXPECT_EQ(a.threshold, b.threshold);
+    EXPECT_EQ(a.for_windows, b.for_windows);
+  }
+}
+
 MetricsWindow WindowWith(int64_t index, int64_t dropped, int64_t frames) {
   MetricsWindow w;
   w.index = index;

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -13,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "benchutil/workbench.h"
+#include "common/env.h"
 #include "fault/fault.h"
 #include "fault/faulty_stream.h"
 #include "pipeline/checkpoint.h"
@@ -606,10 +606,8 @@ TEST_F(PipelineFixture, FaultSweepNeverCrashesAndLosesNothing) {
           "dup_frame:p=0.02;stall:p=0.005,ms=1;selector_fail:p=0.3;"
           "io_fail:p=0.1;annotator_deadline:p=0.2;annotator_error:p=0.1")
           .ValueOrDie();
-  uint64_t base_seed = 0;
-  if (const char* env = std::getenv("VDRIFT_FAULT_SEED")) {
-    base_seed = std::strtoull(env, nullptr, 10);
-  }
+  const uint64_t base_seed = static_cast<uint64_t>(
+      env::Int("VDRIFT_FAULT_SEED", 0, 0, INT64_MAX));
   for (uint64_t seed = base_seed; seed < base_seed + 8; ++seed) {
     fault::FaultInjector injector(plan, seed);
     video::StreamGenerator inner = bench_->dataset.MakeStream();

@@ -8,7 +8,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "benchutil/workbench.h"
+#include "common/env.h"
 #include "core/registry_cow.h"
 #include "fault/chaos.h"
 #include "fault/fault.h"
@@ -840,10 +840,8 @@ TEST_F(FleetFixture, ChaosCampaignResumesBitIdenticallyAcrossThreads) {
   // and resumed from its manifest must finish byte-identical to a fleet
   // that ran the same shard-level chaos uninterrupted — at 1 and 4
   // threads. VDRIFT_CHAOS_SEED varies the campaign (CI runs a matrix).
-  uint64_t seed = 1234;
-  if (const char* env = std::getenv("VDRIFT_CHAOS_SEED")) {
-    seed = std::strtoull(env, nullptr, 10);
-  }
+  const uint64_t seed = static_cast<uint64_t>(
+      env::Int("VDRIFT_CHAOS_SEED", 1234, 0, INT64_MAX));
   fault::ChaosPlan::Options chaos_options;
   chaos_options.kill_shard_p = 0.08;
   chaos_options.corrupt_checkpoint_p = 0.04;

@@ -31,6 +31,10 @@ enforce by memory; this tool makes them machine-checked:
                             so Clang Thread Safety Analysis sees every
                             critical section. Raw std::mutex/<mutex> use is
                             invisible to -Werror=thread-safety.
+  no-raw-getenv             src/common/env.cc is the only code that calls
+                            getenv: every knob is read through its three
+                            readers (one parse rule per kind). This check
+                            cannot be suppressed.
   no-unchecked-rename       All file publication goes through
                             common::AtomicWriteFile (staging write + fsync +
                             checked rename + parent-dir fsync). A raw
@@ -86,6 +90,9 @@ CHECKS = {
     "no-raw-mutex":
         "locking must use common/sync.h (TSA-annotated); raw std::mutex "
         "is invisible to thread-safety analysis",
+    "no-raw-getenv":
+        "getenv outside src/common/env.cc: read knobs through "
+        "common/env.h (not suppressible)",
     "no-unchecked-rename":
         "file publication must go through common::AtomicWriteFile "
         "(fsync + checked rename + parent fsync); raw std::rename loses "
@@ -111,11 +118,18 @@ CHECK_PATTERNS = {
             r"|std::lock_guard\b|std::unique_lock\b|std::scoped_lock\b"
             r"|std::condition_variable\b"
             r"|#\s*include\s*<(?:mutex|condition_variable|shared_mutex)>"),
+    "no-raw-getenv":
+        re.compile(r"(?<![\w.>])(?:secure_)?getenv\b"),
     # std::rename or a bare rename( call; member calls (x.rename / ->rename)
     # and qualified non-std uses (fs::rename) are someone else's API.
     "no-unchecked-rename":
         re.compile(r"std::rename\s*\(|(?<![\w:.>])rename\s*\("),
 }
+
+# The one file allowed to call getenv (path relative to the scan root).
+ENV_READER = "src/common/env.cc"
+# Checks that no allow() marker can silence.
+UNSUPPRESSIBLE = {"no-raw-getenv"}
 
 # Function declarations returning Status / Result<...> (header files).
 STATUS_DECL_RE = re.compile(
@@ -248,7 +262,7 @@ def scan_file(path, relpath, class_nodiscard):
         pending_allows = set()
 
         def report(check, message):
-            if check in active_allows:
+            if check in active_allows and check not in UNSUPPRESSIBLE:
                 return
             findings.append(Finding(check, relpath, lineno, line, message))
 
@@ -274,6 +288,12 @@ def scan_file(path, relpath, class_nodiscard):
                 "no-raw-mutex",
                 "raw mutex primitive: use vdrift::Mutex / MutexLock / "
                 "CondVar from common/sync.h (TSA-annotated)")
+        if (relpath.replace("\\", "/") != ENV_READER
+                and CHECK_PATTERNS["no-raw-getenv"].search(code)):
+            report(
+                "no-raw-getenv",
+                "raw getenv: read the knob with env::String / env::Flag / "
+                "env::Int (common/env.h)")
         if CHECK_PATTERNS["no-unchecked-rename"].search(code):
             report(
                 "no-unchecked-rename",
