@@ -141,8 +141,9 @@ Tensor Conv2d::Forward(const Tensor& input) {
   cached_input_ = input;
   Tensor out(Shape{n, out_channels_, out_h_, out_w_});
   int64_t plane = static_cast<int64_t>(out_h_) * out_w_;
-  // Samples are independent: each writes its own output block. Nested
-  // tensor-op parallelism runs inline inside a sample chunk.
+  // Samples are independent: each writes its own output block. The
+  // tensor ops inside a sample chunk open nested regions, which idle
+  // threads help with like top-level ones.
   ParallelFor(0, n, 1, [&](int64_t s_begin, int64_t s_end) {
     for (int64_t s = s_begin; s < s_end; ++s) {
       const float* sample =

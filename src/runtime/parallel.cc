@@ -4,9 +4,11 @@ namespace vdrift::runtime {
 
 namespace {
 
-// ScopedThreads override; only the thread that owns the scope mutates it,
-// but workers never read it (they execute chunks, they don't route them),
-// so a plain pointer suffices.
+// ScopedThreads override; only the thread that owns the scope mutates it.
+// Workers read it when a chunk opens a nested region. Such a read falls
+// inside a Run() that published its task under the queue mutex and
+// returns only after the chunk completed, so the scope's writes are
+// ordered around every read and a plain pointer suffices.
 ThreadPool* g_pool_override = nullptr;
 
 }  // namespace
@@ -31,7 +33,7 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
   int64_t range = end - begin;
   int64_t num_chunks = (range + grain - 1) / grain;
   ThreadPool& pool = CurrentPool();
-  if (num_chunks == 1 || pool.threads() == 1 || ThreadPool::InTask()) {
+  if (num_chunks == 1 || pool.threads() == 1) {
     body(begin, end);
     return;
   }

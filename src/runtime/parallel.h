@@ -60,8 +60,10 @@ inline int64_t GrainForCost(int64_t cost_per_item,
 
 /// Runs `body(chunk_begin, chunk_end)` over [begin, end) in chunks of
 /// `grain`. Chunks run concurrently (the calling thread participates);
-/// a single-chunk range, a serial pool, or a nested call runs inline.
-/// The first exception thrown by a body is rethrown on the caller.
+/// a single-chunk range or a serial pool runs inline. A call nested in
+/// another region's chunk is queued like a top-level one, so idle threads
+/// help with it (see ThreadPool). The first exception thrown by a body is
+/// rethrown on the caller.
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t, int64_t)>& body);
 
@@ -84,7 +86,7 @@ T ParallelReduce(int64_t begin, int64_t end, int64_t grain, T identity,
     partials[static_cast<size_t>(chunk)] = map(b, e);
   };
   ThreadPool& pool = CurrentPool();
-  if (num_chunks == 1 || pool.threads() == 1 || ThreadPool::InTask()) {
+  if (num_chunks == 1 || pool.threads() == 1) {
     for (int64_t chunk = 0; chunk < num_chunks; ++chunk) run_chunk(chunk);
   } else {
     pool.Run(num_chunks, run_chunk);

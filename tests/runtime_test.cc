@@ -6,12 +6,14 @@
 #include <atomic>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "nn/layers.h"
 #include "nn/optimizer.h"
+#include "obs/timer.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
 #include "stats/rng.h"
@@ -108,8 +110,8 @@ TEST(ParallelForTest, NestedRegionsRunInlineWithoutDeadlock) {
   ParallelFor(0, kRows, 1, [&](int64_t row_begin, int64_t row_end) {
     for (int64_t r = row_begin; r < row_end; ++r) {
       EXPECT_TRUE(ThreadPool::InTask());
-      // Nested loop must execute inline on this thread, not re-enter
-      // the pool (which would deadlock a fully-busy pool).
+      // The nested loop is queued like a top-level one and its caller
+      // drains it, so even a fully busy pool cannot deadlock on it.
       ParallelFor(0, kCols, 4, [&](int64_t col_begin, int64_t col_end) {
         for (int64_t c = col_begin; c < col_end; ++c) {
           ++cells[static_cast<size_t>(r * kCols + c)];
@@ -118,6 +120,86 @@ TEST(ParallelForTest, NestedRegionsRunInlineWithoutDeadlock) {
     }
   });
   for (int v : cells) EXPECT_EQ(v, 1);
+}
+
+TEST(ParallelForTest, ThreeNestedLevelsOnTwoThreadsCoverEveryIndexOnce) {
+  ScopedThreads threads(2);
+  constexpr int64_t kSide = 8;
+  std::vector<std::atomic<int>> hits(kSide * kSide * kSide);
+  ParallelFor(0, kSide, 1, [&](int64_t a_begin, int64_t a_end) {
+    for (int64_t a = a_begin; a < a_end; ++a) {
+      ParallelFor(0, kSide, 1, [&](int64_t b_begin, int64_t b_end) {
+        for (int64_t b = b_begin; b < b_end; ++b) {
+          ParallelFor(0, kSide, 1, [&](int64_t c_begin, int64_t c_end) {
+            for (int64_t c = c_begin; c < c_end; ++c) {
+              hits[static_cast<size_t>((a * kSide + b) * kSide + c)]
+                  .fetch_add(1);
+            }
+          });
+        }
+      });
+    }
+  });
+  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelForTest, IdleThreadsTakeNestedChunks) {
+  ScopedThreads threads(2);
+  // Outer chunk 0 returns at once, freeing its thread; outer chunk 1 opens
+  // an 8-chunk region whose chunk 0 holds its thread until another chunk
+  // of the region has started. Only a second thread can start one.
+  std::atomic<int> entered{0};
+  bool helped = false;
+  ParallelFor(0, 2, 1, [&](int64_t outer, int64_t) {
+    if (outer == 0) return;
+    ParallelFor(0, 8, 1, [&](int64_t inner, int64_t) {
+      entered.fetch_add(1);
+      if (inner != 0) return;
+      double deadline = obs::MonotonicSeconds() + 10.0;
+      while (entered.load() < 2 && obs::MonotonicSeconds() < deadline) {
+        std::this_thread::yield();
+      }
+      helped = entered.load() >= 2;
+    });
+  });
+  EXPECT_TRUE(helped);
+}
+
+TEST(ParallelForTest, NestedExceptionOnAHelperReachesTheOuterCaller) {
+  ScopedThreads threads(2);
+  std::atomic<bool> helper_entered{false};
+  auto nested_region = [&] {
+    ParallelFor(0, 2, 1, [&](int64_t outer, int64_t) {
+      if (outer == 0) return;
+      const std::thread::id owner = std::this_thread::get_id();
+      ParallelFor(0, 8, 1, [&](int64_t inner, int64_t) {
+        if (std::this_thread::get_id() != owner) {
+          helper_entered.store(true);
+          throw std::runtime_error("nested chunk failed on a helper");
+        }
+        if (inner != 0) return;
+        double deadline = obs::MonotonicSeconds() + 10.0;
+        while (!helper_entered.load() &&
+               obs::MonotonicSeconds() < deadline) {
+          std::this_thread::yield();
+        }
+      });
+    });
+  };
+  EXPECT_THROW(nested_region(), std::runtime_error);
+  EXPECT_TRUE(helper_entered.load());
+  // The pool survives and still runs nested regions.
+  std::vector<std::atomic<int>> hits(64);
+  ParallelFor(0, 8, 1, [&](int64_t a_begin, int64_t a_end) {
+    for (int64_t a = a_begin; a < a_end; ++a) {
+      ParallelFor(0, 8, 1, [&](int64_t b_begin, int64_t b_end) {
+        for (int64_t b = b_begin; b < b_end; ++b) {
+          hits[static_cast<size_t>(a * 8 + b)].fetch_add(1);
+        }
+      });
+    }
+  });
+  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelForTest, PropagatesExceptionsFromWorkers) {
@@ -157,6 +239,41 @@ TEST(ParallelReduceTest, MatchesSerialFoldBitForBit) {
   for (int threads : {2, 4, 8}) {
     double parallel = sum_with(threads);
     EXPECT_EQ(std::memcmp(&serial, &parallel, sizeof(double)), 0)
+        << "threads=" << threads;
+  }
+}
+
+TEST(ParallelReduceTest, NestedReduceIsBitIdenticalAcrossThreadCounts) {
+  Rng rng(23);
+  constexpr int64_t kRows = 8;
+  constexpr int64_t kCols = 20000;
+  std::vector<double> values(kRows * kCols);
+  for (double& v : values) v = rng.NextGaussian();
+  auto row_sums_with = [&](int threads) {
+    ScopedThreads scope(threads);
+    std::vector<double> sums(kRows, 0.0);
+    ParallelFor(0, kRows, 1, [&](int64_t row_begin, int64_t row_end) {
+      for (int64_t r = row_begin; r < row_end; ++r) {
+        sums[static_cast<size_t>(r)] = ParallelReduce<double>(
+            0, kCols, 1 << 9, 0.0,
+            [&](int64_t begin, int64_t end) {
+              double s = 0.0;
+              for (int64_t c = begin; c < end; ++c) {
+                s += values[static_cast<size_t>(r * kCols + c)];
+              }
+              return s;
+            },
+            [](double acc, double partial) { return acc + partial; });
+      }
+    });
+    return sums;
+  };
+  std::vector<double> serial = row_sums_with(1);
+  for (int threads : {2, 4}) {
+    std::vector<double> parallel = row_sums_with(threads);
+    EXPECT_EQ(std::memcmp(serial.data(), parallel.data(),
+                          serial.size() * sizeof(double)),
+              0)
         << "threads=" << threads;
   }
 }

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,10 +19,12 @@
 #include "benchutil/workbench.h"
 #include "common/env.h"
 #include "core/registry_cow.h"
+#include "detect/image_classifier.h"
 #include "fault/chaos.h"
 #include "fault/fault.h"
 #include "fault/faulty_stream.h"
 #include "nn/classifier.h"
+#include "nn/serialize.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/provision.h"
 #include "runtime/parallel.h"
@@ -45,6 +48,48 @@ constexpr const char* kCounterFamilies[] = {
     "vdrift.pipeline.redeployments",
     "vdrift.pipeline.checkpoint_failures",
 };
+
+void ExpectStreamIdentical(const StreamReport& x, const StreamReport& y) {
+  EXPECT_EQ(x.label, y.label);
+  EXPECT_EQ(x.frames, y.frames) << x.label;
+  EXPECT_EQ(x.slices, y.slices) << x.label;
+  EXPECT_EQ(x.restarts, y.restarts) << x.label;
+  EXPECT_EQ(x.metrics.frames, y.metrics.frames) << x.label;
+  EXPECT_EQ(x.metrics.drifts_detected, y.metrics.drifts_detected)
+      << x.label;
+  EXPECT_EQ(x.metrics.new_models_trained, y.metrics.new_models_trained)
+      << x.label;
+  EXPECT_EQ(x.metrics.drift_frames, y.metrics.drift_frames) << x.label;
+  EXPECT_EQ(x.metrics.detect_lags, y.metrics.detect_lags) << x.label;
+  EXPECT_EQ(x.metrics.selections, y.metrics.selections) << x.label;
+  EXPECT_EQ(x.metrics.selection_invocations,
+            y.metrics.selection_invocations)
+      << x.label;
+  EXPECT_EQ(x.metrics.degradation.frames_dropped,
+            y.metrics.degradation.frames_dropped)
+      << x.label;
+  EXPECT_EQ(x.metrics.degradation.total_events(),
+            y.metrics.degradation.total_events())
+      << x.label;
+  ASSERT_EQ(x.metrics.per_sequence.size(), y.metrics.per_sequence.size())
+      << x.label;
+  for (const auto& [seq, acc] : x.metrics.per_sequence) {
+    const auto it = y.metrics.per_sequence.find(seq);
+    ASSERT_NE(it, y.metrics.per_sequence.end()) << x.label;
+    EXPECT_EQ(acc.count_correct, it->second.count_correct) << x.label;
+    EXPECT_EQ(acc.count_total, it->second.count_total) << x.label;
+    EXPECT_EQ(acc.invocations, it->second.invocations) << x.label;
+  }
+}
+
+// Zero silent frame loss: every admitted frame either answered the
+// count query or was dropped (and counted as dropped).
+void ExpectBooksBalance(const StreamReport& stream) {
+  EXPECT_EQ(stream.metrics.Totals().count_total +
+                stream.metrics.degradation.frames_dropped,
+            stream.metrics.frames)
+      << stream.label;
+}
 
 // One shared workbench (same shape as the pipeline suite's fixture): a
 // Tokyo-like 3-model registry, ~360 frames per stream replica.
@@ -123,49 +168,6 @@ class FleetFixture : public ::testing::Test {
       run.sampler_windows = fleet.sampler()->windows_sampled();
     }
     return run;
-  }
-
-  static void ExpectStreamIdentical(const StreamReport& x,
-                                    const StreamReport& y) {
-    EXPECT_EQ(x.label, y.label);
-    EXPECT_EQ(x.frames, y.frames) << x.label;
-    EXPECT_EQ(x.slices, y.slices) << x.label;
-    EXPECT_EQ(x.restarts, y.restarts) << x.label;
-    EXPECT_EQ(x.metrics.frames, y.metrics.frames) << x.label;
-    EXPECT_EQ(x.metrics.drifts_detected, y.metrics.drifts_detected)
-        << x.label;
-    EXPECT_EQ(x.metrics.new_models_trained, y.metrics.new_models_trained)
-        << x.label;
-    EXPECT_EQ(x.metrics.drift_frames, y.metrics.drift_frames) << x.label;
-    EXPECT_EQ(x.metrics.detect_lags, y.metrics.detect_lags) << x.label;
-    EXPECT_EQ(x.metrics.selections, y.metrics.selections) << x.label;
-    EXPECT_EQ(x.metrics.selection_invocations,
-              y.metrics.selection_invocations)
-        << x.label;
-    EXPECT_EQ(x.metrics.degradation.frames_dropped,
-              y.metrics.degradation.frames_dropped)
-        << x.label;
-    EXPECT_EQ(x.metrics.degradation.total_events(),
-              y.metrics.degradation.total_events())
-        << x.label;
-    ASSERT_EQ(x.metrics.per_sequence.size(), y.metrics.per_sequence.size())
-        << x.label;
-    for (const auto& [seq, acc] : x.metrics.per_sequence) {
-      const auto it = y.metrics.per_sequence.find(seq);
-      ASSERT_NE(it, y.metrics.per_sequence.end()) << x.label;
-      EXPECT_EQ(acc.count_correct, it->second.count_correct) << x.label;
-      EXPECT_EQ(acc.count_total, it->second.count_total) << x.label;
-      EXPECT_EQ(acc.invocations, it->second.invocations) << x.label;
-    }
-  }
-
-  // Zero silent frame loss: every admitted frame either answered the
-  // count query or was dropped (and counted as dropped).
-  static void ExpectBooksBalance(const StreamReport& stream) {
-    EXPECT_EQ(stream.metrics.Totals().count_total +
-                  stream.metrics.degradation.frames_dropped,
-              stream.metrics.frames)
-        << stream.label;
   }
 
   static benchutil::Workbench* bench_;
@@ -348,6 +350,120 @@ TEST(FleetCowTest, ModelTrainedForOneStreamServesAnother) {
   // The shared registry holds the base plus the one learned model.
   EXPECT_EQ(fleet.published().size(), 2);
   EXPECT_GE(fleet.published().FindByName("a.learned-0"), 0);
+}
+
+// --- Training on: nested parallel regions share the pool. ---
+
+// Every parameter of a published model as raw bytes: the VAE, its point
+// set, and each ensemble member's network.
+std::string ModelBytes(const select::ModelEntry& entry) {
+  std::ostringstream out;
+  for (nn::Parameter* p : entry.profile->vae()->Params()) {
+    out.write(reinterpret_cast<const char*>(p->value.data()),
+              static_cast<std::streamsize>(p->value.size() * sizeof(float)));
+  }
+  for (const std::vector<float>& point : entry.profile->sigma().points()) {
+    out.write(reinterpret_cast<const char*>(point.data()),
+              static_cast<std::streamsize>(point.size() * sizeof(float)));
+  }
+  for (int l = 0; l < entry.ensemble->size(); ++l) {
+    auto* member = dynamic_cast<detect::ImageClassifier*>(
+        entry.ensemble->member(l).get());
+    EXPECT_NE(member, nullptr) << entry.name;
+    if (member != nullptr) {
+      EXPECT_TRUE(nn::SaveParameters(member->net(), &out).ok());
+    }
+  }
+  return out.str();
+}
+
+TEST(TrainingFleetTest, IsDeterministicAcrossThreadCounts) {
+  // Four streams of a sparse Tokyo day each meet a dense, unprovisioned
+  // night once, staggered (disjoint count regimes, so the day model is
+  // decisively wrong there). The shard that meets it trains inside its
+  // slice, and the training's nested parallel regions spread over the
+  // whole pool; the barrier publishes the model and the other shards
+  // adopt it. None of this may depend on scheduling: reports and
+  // published parameters at 4 threads must match 1 thread exactly.
+  stats::Rng rng(88);
+  video::SceneSpec day = video::MakeTokyoSynthetic(0.004).SpecOf("Angle 1");
+  day.object_rate_mean = 1.5;
+  day.object_rate_std = 1.0;
+  video::SceneSpec night = video::TokyoNightSpec();
+  night.object_rate_mean = 14.0;
+  night.object_rate_std = 2.0;
+  pipeline::ProvisionOptions provision =
+      benchutil::DefaultWorkbenchOptions().provision;
+  provision.classifier_train.epochs = 8;
+  std::vector<video::Frame> day_frames =
+      video::GenerateFrames(day, 200, 32, 500);
+  select::ModelEntry base =
+      pipeline::ProvisionModel("Day", day_frames, provision, &rng)
+          .ValueOrDie();
+  std::vector<select::LabeledFrame> day_sample =
+      pipeline::MakeLabeledSample(day_frames, 8, 24, &rng);
+  // The online training recipe of the fleet benchmark: short, one member.
+  provision.profile.trainer.epochs = 4;
+  provision.classifier_train.epochs = 4;
+  provision.ensemble_size = 1;
+
+  FleetOptions options;
+  options.pipeline.selector = pipeline::PipelineConfig::Selector::kMsbo;
+  options.pipeline.provision = provision;
+  options.pipeline.allow_training_new = true;
+  options.slice_frames = 48;
+  options.max_concurrent = 4;
+  struct TrainingRun {
+    FleetReport report;
+    select::CowModelRegistry::Snapshot published;
+  };
+  auto run = [&](int threads) {
+    runtime::ScopedThreads scoped(threads);
+    DriftFleet fleet(options);
+    EXPECT_TRUE(fleet.AddBaseModel(base, day_sample).ok());
+    std::vector<std::unique_ptr<video::StreamGenerator>> streams;
+    for (int i = 0; i < 4; ++i) {
+      streams.push_back(std::make_unique<video::StreamGenerator>(
+          std::vector<video::Segment>{
+              {day, 96 + 48 * i}, {night, 200}, {day, 96}},
+          32, 700 + static_cast<uint64_t>(i)));
+      EXPECT_TRUE(fleet
+                      .AddStream({"s" + std::to_string(i),
+                                  streams.back().get(), nullptr})
+                      .ok());
+    }
+    TrainingRun out;
+    out.report = fleet.Run().ValueOrDie();
+    out.published = fleet.published().TakeSnapshot();
+    return out;
+  };
+  TrainingRun serial = run(1);
+  TrainingRun parallel = run(4);
+
+  ASSERT_EQ(serial.report.streams.size(), 4u);
+  ASSERT_EQ(parallel.report.streams.size(), 4u);
+  int64_t trained = 0;
+  for (size_t i = 0; i < 4; ++i) {
+    ExpectStreamIdentical(serial.report.streams[i],
+                          parallel.report.streams[i]);
+    EXPECT_TRUE(parallel.report.streams[i].status.ok());
+    ExpectBooksBalance(parallel.report.streams[i]);
+    trained += parallel.report.streams[i].metrics.new_models_trained;
+  }
+  EXPECT_EQ(serial.report.rounds, parallel.report.rounds);
+  EXPECT_EQ(serial.report.models_published, parallel.report.models_published);
+  EXPECT_EQ(serial.report.models_adopted, parallel.report.models_adopted);
+  // The night model was trained, published and adopted.
+  EXPECT_GE(trained, 1);
+  EXPECT_GE(parallel.report.models_published, 1);
+  EXPECT_GE(parallel.report.models_adopted, 1);
+  ASSERT_EQ(serial.published->size(), parallel.published->size());
+  for (size_t m = 0; m < serial.published->size(); ++m) {
+    const select::ModelEntry& x = (*serial.published)[m].entry;
+    const select::ModelEntry& y = (*parallel.published)[m].entry;
+    EXPECT_EQ(x.name, y.name);
+    EXPECT_TRUE(ModelBytes(x) == ModelBytes(y)) << x.name;
+  }
 }
 
 // --- Wiring, publication semantics, and clone invariants. ---
