@@ -92,8 +92,7 @@ video::SyntheticDataset MakeDataset(const std::string& dataset_name,
 
 namespace {
 
-Status SaveWorkbench(const Workbench& bench, const WorkbenchOptions& options,
-                     const std::string& path) {
+Status SaveWorkbench(const Workbench& bench, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out.good()) return Status::IoError("cannot open cache for writing");
   WritePod(&out, kCacheMagic);
@@ -295,7 +294,7 @@ Result<std::unique_ptr<Workbench>> BuildWorkbench(
       bench->registry.Add(std::move(entry));
     }
     if (!cache_path.empty()) {
-      Status save = SaveWorkbench(*bench, options, cache_path);
+      Status save = SaveWorkbench(*bench, cache_path);
       if (!save.ok()) {
         VDRIFT_LOG_WARNING << "failed to write model cache: "
                            << save.ToString();

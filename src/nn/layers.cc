@@ -1,6 +1,8 @@
 #include "nn/layers.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "nn/init.h"
 #include "obs/trace_log.h"
@@ -130,7 +132,7 @@ Tensor Conv2d::Forward(const Tensor& input) {
   VDRIFT_CHECK(out_h_ > 0 && out_w_ > 0);
   int64_t out_plane = static_cast<int64_t>(out_h_) * out_w_;
   int64_t patch = static_cast<int64_t>(in_channels_) * kernel_ * kernel_;
-  // Per sample: im2col GEMM (2 * out_c * patch * out_plane) + bias add.
+  // Per sample: implicit GEMM (2 * out_c * patch * out_plane) + bias add.
   VDRIFT_OP_PROBE(
       "nn", "conv2d_forward",
       n * (2 * out_channels_ * patch * out_plane +
@@ -139,30 +141,8 @@ Tensor Conv2d::Forward(const Tensor& input) {
           (input.size() + out_channels_ * patch + out_channels_ +
            n * out_channels_ * out_plane));
   cached_input_ = input;
-  Tensor out(Shape{n, out_channels_, out_h_, out_w_});
-  int64_t plane = static_cast<int64_t>(out_h_) * out_w_;
-  // Samples are independent: each writes its own output block. The
-  // tensor ops inside a sample chunk open nested regions, which idle
-  // threads help with like top-level ones.
-  ParallelFor(0, n, 1, [&](int64_t s_begin, int64_t s_end) {
-    for (int64_t s = s_begin; s < s_end; ++s) {
-      const float* sample =
-          input.data() +
-          s * in_channels_ * static_cast<int64_t>(in_h_) * in_w_;
-      Tensor cols = tensor::Im2Col(sample, in_channels_, in_h_, in_w_,
-                                   kernel_, kernel_, stride_, pad_, out_h_,
-                                   out_w_);
-      Tensor result = tensor::Matmul(weight_.value, cols);
-      float* dst = out.data() + s * out_channels_ * plane;
-      for (int64_t c = 0; c < out_channels_; ++c) {
-        float b = bias_.value[c];
-        for (int64_t p = 0; p < plane; ++p) {
-          dst[c * plane + p] = result[c * plane + p] + b;
-        }
-      }
-    }
-  });
-  return out;
+  return tensor::Conv2dForward(input, weight_.value, bias_.value, kernel_,
+                               stride_, pad_);
 }
 
 Tensor Conv2d::Backward(const Tensor& grad_output) {
@@ -235,18 +215,35 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
 Tensor ReLU::Forward(const Tensor& input) {
   VDRIFT_OP_PROBE("nn", "relu_forward", input.size(),
                   ElementwiseBytes(input.size()));
-  Tensor out = input;
+  Tensor out(input.shape());
   mask_ = Tensor(input.shape());
-  float* po = out.data();
+  const float* px = input.data();
+  float* py = out.data();
   float* pm = mask_.data();
+  // y = x > 0 ? x : +0 and mask = x > 0 ? 1 : 0, four lanes per compare
+  // and select: NaN and -0 map to +0 with mask 0. A branch per element
+  // neither vectorises nor predicts on conv outputs.
+  typedef float Float4 __attribute__((vector_size(16)));
+  typedef int32_t Int4 __attribute__((vector_size(16)));
+  const Int4 one = Int4{} + 0x3f800000;  // the bits of 1.0f
   ParallelFor(0, out.size(), kActivationGrain,
               [&](int64_t begin, int64_t end) {
-                for (int64_t i = begin; i < end; ++i) {
-                  if (po[i] > 0.0f) {
-                    pm[i] = 1.0f;
-                  } else {
-                    po[i] = 0.0f;
-                  }
+                int64_t i = begin;
+                for (; i + 4 <= end; i += 4) {
+                  Float4 x;
+                  Int4 bits;
+                  std::memcpy(&x, px + i, sizeof(x));
+                  std::memcpy(&bits, px + i, sizeof(bits));
+                  Int4 positive = x > Float4{};  // all ones or all zeros
+                  Int4 y = bits & positive;
+                  Int4 m = one & positive;
+                  std::memcpy(py + i, &y, sizeof(y));
+                  std::memcpy(pm + i, &m, sizeof(m));
+                }
+                for (; i < end; ++i) {
+                  bool positive = px[i] > 0.0f;
+                  py[i] = positive ? px[i] : 0.0f;
+                  pm[i] = positive ? 1.0f : 0.0f;
                 }
               });
   return out;

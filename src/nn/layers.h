@@ -34,9 +34,11 @@ class Linear : public Layer {
   tensor::Tensor cached_input_;
 };
 
-/// \brief 2-D convolution over [N, C, H, W] batches (im2col + GEMM).
+/// \brief 2-D convolution over [N, C, H, W] batches.
 ///
-/// Weight is stored [out_channels, in_channels * kh * kw].
+/// Forward is an implicit GEMM (tensor::Conv2dForward), which builds no
+/// im2col matrix; Backward uses im2col and GEMMs. Weight is stored
+/// [out_channels, in_channels * kh * kw].
 class Conv2d : public Layer {
  public:
   Conv2d(int in_channels, int out_channels, int kernel, int stride, int pad,
@@ -55,8 +57,8 @@ class Conv2d : public Layer {
   int pad_;
   Parameter weight_;
   Parameter bias_;
-  // The input, from which Backward rebuilds each sample's im2col matrix,
-  // plus its geometry. Caching the matrices instead held kernel^2 /
+  // The input, from which Backward builds each sample's im2col matrix,
+  // plus its geometry. Caching the matrices instead would hold kernel^2 /
   // stride^2 times as much in every model instance between calls.
   tensor::Tensor cached_input_;
   int in_h_ = 0;

@@ -36,6 +36,10 @@ namespace {
 template <int W>
 struct VecOf;
 template <>
+struct VecOf<2> {
+  typedef float type __attribute__((vector_size(8)));
+};
+template <>
 struct VecOf<4> {
   typedef float type __attribute__((vector_size(16)));
 };
@@ -193,11 +197,228 @@ VDRIFT_GEMM_INLINE void GemmRows(const GemmOperands& g, int64_t row_begin,
   }
 }
 
+// One vector of output pixels: W consecutive pixels of one output row,
+// or, for rows at most W / 2 wide, one row in each half of the vector.
+// Part h reads the input from offset src[h] of every tap, lands at offset
+// dst[h] of every output channel, and holds cols[h] real pixels.
+struct ConvRun {
+  int64_t src[2];
+  int64_t dst[2];
+  int64_t cols[2];
+};
+
+// Stores the first `cols` lanes of `v`; a whole vector (the common case)
+// with a fixed-size copy.
+template <typename V>
+VDRIFT_GEMM_INLINE void StoreLanes(float* dst, const V& v, int64_t cols) {
+  if (cols * static_cast<int64_t>(sizeof(float)) == sizeof(V)) {
+    std::memcpy(dst, &v, sizeof(V));
+  } else {
+    std::memcpy(dst, &v, sizeof(float) * static_cast<size_t>(cols));
+  }
+}
+
+// Output channels [i, i + kRows) of kVecs pixel vectors: GemmTile with
+// the B panel loaded straight from the padded input, one tap per k.
+template <int W, int kRows, int kVecs, bool kPacked>
+VDRIFT_GEMM_INLINE void ConvTile(const ConvOperands& g, int64_t i,
+                                 const ConvRun* run) {
+  using V = typename VecOf<W>::type;
+  using Half = typename VecOf<W / 2>::type;
+  constexpr auto kLow = std::make_index_sequence<W / 2>();
+  constexpr auto kAll = std::make_index_sequence<W>();
+  const float* pixels = g.input->pixels.data();
+  const int64_t* tap = g.input->tap.data();
+  const float* a = g.weight + i * g.k;
+  V acc[kRows][kVecs] = {};
+  for (int64_t kk = 0; kk < g.k; ++kk) {
+    const float* b = pixels + tap[kk];
+    V bv[kVecs];
+    VDRIFT_GEMM_UNROLL
+    for (int64_t v = 0; v < kVecs; ++v) {
+      if constexpr (kPacked) {
+        Half low;
+        Half high;
+        std::memcpy(&low, b + run[v].src[0], sizeof(Half));
+        std::memcpy(&high, b + run[v].src[1], sizeof(Half));
+        [&]<size_t... L>(std::index_sequence<L...>) {
+          bv[v] = __builtin_shufflevector(low, high, L...);
+        }(kAll);
+      } else {
+        std::memcpy(&bv[v], b + run[v].src[0], sizeof(V));
+      }
+    }
+    VDRIFT_GEMM_UNROLL
+    for (int64_t r = 0; r < kRows; ++r) {
+      float ar = a[r * g.k + kk];
+      VDRIFT_GEMM_UNROLL
+      for (int64_t v = 0; v < kVecs; ++v) {
+        acc[r][v] = acc[r][v] + bv[v] * ar;
+      }
+    }
+  }
+  const int64_t plane = g.out_h * g.out_w;
+  VDRIFT_GEMM_UNROLL
+  for (int64_t r = 0; r < kRows; ++r) {
+    float* c = g.out + (i + r) * plane;
+    VDRIFT_GEMM_UNROLL
+    for (int64_t v = 0; v < kVecs; ++v) {
+      V out = acc[r][v] + g.bias[i + r];
+      if constexpr (kPacked) {
+        Half low;
+        Half high;
+        [&]<size_t... L>(std::index_sequence<L...>) {
+          low = __builtin_shufflevector(out, out, L...);
+          high = __builtin_shufflevector(out, out, (L + W / 2)...);
+        }(kLow);
+        StoreLanes(c + run[v].dst[0], low, run[v].cols[0]);
+        StoreLanes(c + run[v].dst[1], high, run[v].cols[1]);
+      } else {
+        StoreLanes(c + run[v].dst[0], out, run[v].cols[0]);
+      }
+    }
+  }
+}
+
+template <int W, int kVecs, bool kPacked>
+VDRIFT_GEMM_INLINE void ConvRunRows(const ConvOperands& g, const ConvRun* run,
+                                    int64_t row_begin, int64_t row_end) {
+  for (int64_t i = row_begin; i < row_end; i += kGemmTileRows) {
+    switch (std::min(kGemmTileRows, row_end - i)) {
+      case 4:
+        ConvTile<W, 4, kVecs, kPacked>(g, i, run);
+        break;
+      case 3:
+        ConvTile<W, 3, kVecs, kPacked>(g, i, run);
+        break;
+      case 2:
+        ConvTile<W, 2, kVecs, kPacked>(g, i, run);
+        break;
+      default:
+        ConvTile<W, 1, kVecs, kPacked>(g, i, run);
+        break;
+    }
+  }
+}
+
+// Output channels [row_begin, row_end), two pixel vectors at a time. A
+// row wider than W / 2 splits into ceil(out_w / W) vectors, and a pair
+// may span two rows; narrower rows go two to a vector, so the small
+// outputs of a network's last layers still fill their lanes.
+template <int W>
+VDRIFT_GEMM_INLINE void ConvRows(const ConvOperands& g, int64_t row_begin,
+                                 int64_t row_end) {
+  constexpr int64_t kHalf = W / 2;
+  const int64_t row = g.input->row;
+  if (g.out_w <= kHalf) {
+    // Rows oy and oy + 1; past the last row, the high half rereads the
+    // low one and stores nothing.
+    auto make_run = [&](int64_t oy) {
+      int64_t next = oy + 1 < g.out_h ? oy + 1 : oy;
+      return ConvRun{{oy * row, next * row},
+                     {oy * g.out_w, next * g.out_w},
+                     {g.out_w, next > oy ? g.out_w : 0}};
+    };
+    for (int64_t oy = 0; oy < g.out_h; oy += 4) {
+      if (oy + 2 < g.out_h) {
+        const ConvRun run[2] = {make_run(oy), make_run(oy + 2)};
+        ConvRunRows<W, 2, true>(g, run, row_begin, row_end);
+      } else {
+        const ConvRun run[1] = {make_run(oy)};
+        ConvRunRows<W, 1, true>(g, run, row_begin, row_end);
+      }
+    }
+    return;
+  }
+  const int64_t per_row = (g.out_w + W - 1) / W;
+  const int64_t runs = g.out_h * per_row;
+  auto make_run = [&](int64_t t) {
+    int64_t oy = t / per_row;
+    int64_t ox = t % per_row * W;
+    return ConvRun{{oy * row + ox, 0},
+                   {oy * g.out_w + ox, 0},
+                   {std::min<int64_t>(W, g.out_w - ox), 0}};
+  };
+  for (int64_t t = 0; t < runs; t += 2) {
+    if (t + 1 < runs) {
+      const ConvRun run[2] = {make_run(t), make_run(t + 1)};
+      ConvRunRows<W, 2, false>(g, run, row_begin, row_end);
+    } else {
+      const ConvRun run[1] = {make_run(t)};
+      ConvRunRows<W, 1, false>(g, run, row_begin, row_end);
+    }
+  }
+}
+
 }  // namespace
+
+ConvInput MakeConvInput(const float* sample, int channels, int height,
+                        int width, int kernel, int stride, int pad,
+                        int vector_width) {
+  const int64_t s = stride;
+  const int64_t hq = (height + 2 * pad + s - 1) / s;
+  const int64_t wq = (width + 2 * pad + s - 1) / s;
+  const int64_t plane = hq * wq;
+  // Plane (py, px) of channel c starts at ((py * s + px) * channels + c)
+  // * plane. Padded coordinate y is phase y % s, index y / s; the loops
+  // below step both with counters instead of dividing.
+  ConvInput in;
+  in.row = wq;
+  in.pixels.assign(
+      static_cast<size_t>(s * s * channels * plane + vector_width - 1), 0.0f);
+  float* pixels = in.pixels.data();
+  // Phase px holds input columns px + s * j - pad from its first j with a
+  // column >= 0.
+  for (int64_t px = 0; px < s; ++px) {
+    const int64_t j0 = px >= pad ? 0 : (pad - px + s - 1) / s;
+    const int64_t x0 = px + s * j0 - pad;
+    const int64_t cols = x0 < width ? (width - x0 + s - 1) / s : 0;
+    for (int64_t c = 0; c < channels; ++c) {
+      const float* src = sample + c * height * width + x0;
+      int64_t py = pad % s;
+      int64_t qy = pad / s;
+      for (int64_t iy = 0; iy < height; ++iy, src += width) {
+        float* dst =
+            pixels + ((py * s + px) * channels + c) * plane + qy * wq + j0;
+        for (int64_t j = 0; j < cols; ++j) dst[j] = src[j * s];
+        if (++py == s) {
+          py = 0;
+          ++qy;
+        }
+      }
+    }
+  }
+  // Tap (c, ky, kx) is tap (0, ky, kx) moved c planes on.
+  const int64_t taps = static_cast<int64_t>(kernel) * kernel;
+  in.tap.resize(static_cast<size_t>(channels * taps));
+  int64_t* tap = in.tap.data();
+  for (int64_t ky = 0, py = 0, qy = 0; ky < kernel; ++ky) {
+    for (int64_t kx = 0, px = 0, qx = 0; kx < kernel; ++kx) {
+      tap[ky * kernel + kx] = (py * s + px) * channels * plane + qy * wq + qx;
+      if (++px == s) {
+        px = 0;
+        ++qx;
+      }
+    }
+    if (++py == s) {
+      py = 0;
+      ++qy;
+    }
+  }
+  for (int64_t c = 1; c < channels; ++c) {
+    for (int64_t t = 0; t < taps; ++t) tap[c * taps + t] = tap[t] + c * plane;
+  }
+  return in;
+}
 
 void GemmRowsWidth4(const GemmOperands& g, int64_t row_begin,
                     int64_t row_end) {
   GemmRows<4>(g, row_begin, row_end);
+}
+
+void ConvRowsWidth4(const ConvOperands& g, int64_t row_begin,
+                    int64_t row_end) {
+  ConvRows<4>(g, row_begin, row_end);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -207,11 +428,22 @@ __attribute__((target("avx2"))) void GemmRowsWidth8(const GemmOperands& g,
   GemmRows<8>(g, row_begin, row_end);
 }
 
+__attribute__((target("avx2"))) void ConvRowsWidth8(const ConvOperands& g,
+                                                    int64_t row_begin,
+                                                    int64_t row_end) {
+  ConvRows<8>(g, row_begin, row_end);
+}
+
 bool CpuHasAvx2() { return __builtin_cpu_supports("avx2"); }
 #else
 void GemmRowsWidth8(const GemmOperands& g, int64_t row_begin,
                     int64_t row_end) {
   GemmRows<8>(g, row_begin, row_end);
+}
+
+void ConvRowsWidth8(const ConvOperands& g, int64_t row_begin,
+                    int64_t row_end) {
+  ConvRows<8>(g, row_begin, row_end);
 }
 
 bool CpuHasAvx2() { return false; }
@@ -248,18 +480,24 @@ int64_t GemmBytes(int64_t m, int64_t k, int64_t n) {
 // efficiency in perfbench.
 constexpr int64_t kGemmMinChunkFlops = 1 << 20;
 
+// Rows of C per ParallelFor chunk for a k-deep, n-wide GEMM: at least
+// kGemmMinChunkFlops, in whole register tiles.
+int64_t GemmRowGrain(int64_t k, int64_t n) {
+  constexpr int64_t tile = internal::kGemmTileRows;
+  int64_t grain = GrainForCost(2 * k * n, kGemmMinChunkFlops);
+  return (grain + tile - 1) / tile * tile;
+}
+
 // C = A * B for every GEMM entry point, at the widest width the CPU
 // runs. Rows of C are independent, so any row split is bit-identical to
-// serial; grains are whole register tiles.
+// serial.
 void Gemm(const internal::GemmOperands& g) {
   static const auto rows = internal::CpuHasAvx2() ? &internal::GemmRowsWidth8
                                                   : &internal::GemmRowsWidth4;
-  constexpr int64_t tile = internal::kGemmTileRows;
-  int64_t grain = GrainForCost(2 * g.k * g.n, kGemmMinChunkFlops);
-  grain = (grain + tile - 1) / tile * tile;
-  ParallelFor(0, g.m, grain, [&](int64_t row_begin, int64_t row_end) {
-    rows(g, row_begin, row_end);
-  });
+  ParallelFor(0, g.m, GemmRowGrain(g.k, g.n),
+              [&](int64_t row_begin, int64_t row_end) {
+                rows(g, row_begin, row_end);
+              });
 }
 
 // Elementwise loops parallelize per index; each element's computation is
@@ -372,6 +610,56 @@ Tensor MatmulTransposedA(const Tensor& a, const Tensor& b) {
                   GemmBytes(m, k, n));
   Tensor out(Shape{m, n});
   Gemm({a.data(), 1, m, b.data(), n, 1, out.data(), m, k, n});
+  return out;
+}
+
+Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
+                     const Tensor& bias, int kernel, int stride, int pad) {
+  VDRIFT_CHECK(input.shape().ndim() == 4 && weight.shape().ndim() == 2);
+  const int64_t n = input.shape().dim(0);
+  const int channels = static_cast<int>(input.shape().dim(1));
+  const int height = static_cast<int>(input.shape().dim(2));
+  const int width = static_cast<int>(input.shape().dim(3));
+  const int64_t m = weight.shape().dim(0);
+  const int64_t k = weight.shape().dim(1);
+  VDRIFT_CHECK(k == static_cast<int64_t>(channels) * kernel * kernel &&
+               bias.size() == m)
+      << "conv weight " << weight.shape().ToString() << " does not fit input "
+      << input.shape().ToString() << " with kernel " << kernel;
+  VDRIFT_CHECK(height + 2 * pad >= kernel && width + 2 * pad >= kernel)
+      << "conv kernel " << kernel << " exceeds the padded input "
+      << input.shape().ToString() << " (pad " << pad << ")";
+  const int out_h = ConvOutDim(height, kernel, stride, pad);
+  const int out_w = ConvOutDim(width, kernel, stride, pad);
+  const int64_t plane = static_cast<int64_t>(out_h) * out_w;
+  const int64_t in_plane = static_cast<int64_t>(channels) * height * width;
+  // The GEMM's FLOPs plus the bias add; the input, weights, bias and
+  // output once through memory.
+  VDRIFT_OP_PROBE("tensor", "conv2d", n * (GemmFlops(m, k, plane) + m * plane),
+                  static_cast<int64_t>(sizeof(float)) *
+                      (input.size() + weight.size() + m + n * m * plane));
+  static const bool wide = internal::CpuHasAvx2();
+  const auto rows =
+      wide ? &internal::ConvRowsWidth8 : &internal::ConvRowsWidth4;
+  const int64_t grain = GemmRowGrain(k, plane);
+  Tensor out(Shape{n, m, out_h, out_w});
+  // Samples are independent, and so are output channels within one; the
+  // channel split is Gemm's, so a wide single-sample conv still spreads
+  // over the pool.
+  ParallelFor(0, n, 1, [&](int64_t s_begin, int64_t s_end) {
+    for (int64_t s = s_begin; s < s_end; ++s) {
+      const internal::ConvInput padded = internal::MakeConvInput(
+          input.data() + s * in_plane, channels, height, width, kernel,
+          stride, pad, wide ? 8 : 4);
+      const internal::ConvOperands g{&padded,    weight.data(),
+                                     bias.data(), out.data() + s * m * plane,
+                                     m,          k,
+                                     out_h,      out_w};
+      ParallelFor(0, m, grain, [&](int64_t row_begin, int64_t row_end) {
+        rows(g, row_begin, row_end);
+      });
+    }
+  });
   return out;
 }
 

@@ -27,6 +27,16 @@ Tensor MatmulTransposedB(const Tensor& a, const Tensor& b);
 /// Matrix product with A transposed: a [k, m] x b [k, n] -> [m, n].
 Tensor MatmulTransposedA(const Tensor& a, const Tensor& b);
 
+/// 2-D convolution of an [N, C, H, W] batch with `weight`
+/// [out_c, C * kernel * kernel] (columns ordered (c, ky, kx)), `bias`
+/// [out_c], zero padding `pad` and stride `stride` -> [N, out_c, out_h,
+/// out_w]. Each output is its taps' products summed in ascending
+/// (c, ky, kx) from +0, plus the bias: the naive loop's exact bits, which
+/// are also those of im2col, Matmul and a bias add. No im2col matrix is
+/// built (implicit GEMM). The kernel must fit the padded input.
+Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
+                     const Tensor& bias, int kernel, int stride, int pad);
+
 /// Transpose of a 2-D tensor.
 Tensor Transpose2D(const Tensor& a);
 
@@ -39,7 +49,8 @@ double Mean(const Tensor& a);
 /// im2col for 2-D convolution. Input: `channels` row-major [height, width]
 /// planes at `input` (one sample of an NCHW batch, read in place). Output:
 /// a [C*kh*kw, out_h*out_w] matrix whose columns are the receptive fields.
-/// Out-of-bounds (padding) cells are zero.
+/// Out-of-bounds (padding) cells are zero. Used by the convolution
+/// backward pass.
 Tensor Im2Col(const float* input, int channels, int height, int width,
               int kh, int kw, int stride, int pad, int out_h, int out_w);
 

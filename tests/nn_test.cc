@@ -3,7 +3,11 @@
 // end-to-end convergence tests (linear regression, XOR, a small conv net).
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -182,16 +186,54 @@ TEST(Conv2dTest, ForwardAttributesFlops) {
             flops + 2 * (1728 + 48));
 }
 
+uint32_t Bits(float f) {
+  uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+// Bitwise: y = x > 0 ? x : +0, mask = x > 0 ? 1 : 0 and dx = dy * mask, so
+// NaN, -0 and negative values (denormals included) give +0 and mask 0. The
+// lengths 1-17 run every vector-tail length; rotating the specials puts
+// each one in every lane. Backward with dy = 1 reads the mask back.
 TEST(ReLUTest, ForwardAndGradient) {
-  ReLU relu;
-  Tensor x(Shape{1, 4}, std::vector<float>{-1.0f, 0.0f, 2.0f, -3.0f});
-  Tensor y = relu.Forward(x);
-  EXPECT_FLOAT_EQ(y[0], 0.0f);
-  EXPECT_FLOAT_EQ(y[2], 2.0f);
-  Tensor g(Shape{1, 4}, std::vector<float>{1.0f, 1.0f, 1.0f, 1.0f});
-  Tensor gx = relu.Backward(g);
-  EXPECT_FLOAT_EQ(gx[0], 0.0f);
-  EXPECT_FLOAT_EQ(gx[2], 1.0f);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            0.0f,
+                            -0.0f,
+                            inf,
+                            -inf,
+                            denorm,
+                            -denorm,
+                            std::numeric_limits<float>::min(),
+                            -std::numeric_limits<float>::max(),
+                            1.5f,
+                            -2.5f};
+  const int count = static_cast<int>(std::size(specials));
+  for (int len = 1; len <= 17; ++len) {
+    for (int rotate = 0; rotate < count; ++rotate) {
+      SCOPED_TRACE(testing::Message() << "len=" << len << " rotate=" << rotate);
+      Tensor x(Shape{1, len});
+      Tensor dy(Shape{1, len});
+      for (int i = 0; i < len; ++i) {
+        x[i] = specials[(i + rotate) % count];
+        dy[i] = specials[(3 * i + rotate + 1) % count];
+      }
+      ReLU relu;
+      Tensor y = relu.Forward(x);
+      Tensor mask = relu.Backward(Tensor(Shape{1, len}, 1.0f));
+      Tensor dx = relu.Backward(dy);
+      for (int i = 0; i < len; ++i) {
+        bool positive = x[i] > 0.0f;
+        float want_mask = positive ? 1.0f : 0.0f;
+        EXPECT_EQ(Bits(y[i]), Bits(positive ? x[i] : 0.0f)) << "at " << i;
+        EXPECT_EQ(Bits(mask[i]), Bits(want_mask)) << "at " << i;
+        EXPECT_EQ(Bits(dx[i]), Bits(dy[i] * want_mask)) << "at " << i;
+      }
+    }
+  }
 }
 
 TEST(SigmoidTest, GradientsMatchFiniteDifferences) {

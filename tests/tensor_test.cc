@@ -1,7 +1,9 @@
 // Tests for the tensor library: shape handling, elementwise ops, matrix
-// products (checked against a naive reference), and im2col/col2im.
+// products and convolution (checked against naive references), and
+// im2col/col2im.
 
 #include <cstring>
+#include <limits>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -340,6 +342,176 @@ TEST(Im2ColTest, MatchesNaiveReferenceOverGrid) {
         }
       }
     }
+  }
+}
+
+// The naive convolution loop, the oracle the implicit-GEMM kernel must
+// match bit for bit: each output sums its taps' products in ascending
+// (c, ky, kx) from +0, padding taps reading 0, then adds the bias once.
+Tensor NaiveConv(const Tensor& x, const Tensor& w, const Tensor& b, int k,
+                 int stride, int pad) {
+  int64_t n = x.shape().dim(0);
+  int64_t channels = x.shape().dim(1);
+  int height = static_cast<int>(x.shape().dim(2));
+  int width = static_cast<int>(x.shape().dim(3));
+  int64_t m = w.shape().dim(0);
+  int out_h = ConvOutDim(height, k, stride, pad);
+  int out_w = ConvOutDim(width, k, stride, pad);
+  Tensor out(Shape{n, m, out_h, out_w});
+  for (int64_t s = 0; s < n; ++s) {
+    for (int64_t o = 0; o < m; ++o) {
+      for (int oy = 0; oy < out_h; ++oy) {
+        for (int ox = 0; ox < out_w; ++ox) {
+          float acc = 0.0f;
+          for (int64_t c = 0; c < channels; ++c) {
+            for (int ky = 0; ky < k; ++ky) {
+              for (int kx = 0; kx < k; ++kx) {
+                int iy = oy * stride + ky - pad;
+                int ix = ox * stride + kx - pad;
+                bool inside = iy >= 0 && iy < height && ix >= 0 && ix < width;
+                float v = inside ? x.At4(s, c, iy, ix) : 0.0f;
+                volatile float product = w.At2(o, (c * k + ky) * k + kx) * v;
+                acc += product;
+              }
+            }
+          }
+          out.At4(s, o, oy, ox) = acc + b[o];
+        }
+      }
+    }
+  }
+  return out;
+}
+
+struct ConvCase {
+  int n;
+  int channels;
+  int height;
+  int width;
+  int out_channels;
+  int kernel;
+  int stride;
+  int pad;
+};
+
+// Kernel sizes 1, 2, 3, 5 x strides 1-3 x pads 0-2 on three image sizes,
+// with N from 1 to 3 and output-channel counts off the 4-row tile cycled
+// through the grid. out_w runs from 1 (below both vector widths) to 23.
+// Then the model shapes, and a stride-1 case with out_w = 9: its last
+// pixel run holds one real lane at both widths, so the last tap's vector
+// load ends exactly at the padded input's last slack float.
+std::vector<ConvCase> ConvGrid() {
+  std::vector<ConvCase> cases;
+  const int out_channels[] = {1, 3, 5, 6, 9, 4};
+  int i = 0;
+  for (int k : {1, 2, 3, 5}) {
+    for (int stride : {1, 2, 3}) {
+      for (int pad : {0, 1, 2}) {
+        for (auto [h, w] : {std::pair{5, 3}, std::pair{7, 13},
+                            std::pair{4, 21}}) {
+          if (h + 2 * pad < k || w + 2 * pad < k) continue;
+          cases.push_back({1 + i % 3, 1 + i % 2, h, w, out_channels[i % 6], k,
+                           stride, pad});
+          ++i;
+        }
+      }
+    }
+  }
+  cases.push_back({1, 3, 32, 32, 8, 3, 2, 1});
+  cases.push_back({2, 8, 16, 16, 16, 3, 2, 1});
+  cases.push_back({1, 16, 8, 8, 16, 3, 2, 1});
+  cases.push_back({1, 16, 8, 8, 16, 3, 1, 1});
+  cases.push_back({1, 2, 4, 9, 3, 3, 1, 1});
+  return cases;
+}
+
+// Finite normals, or the same with NaN, +-Inf, -0 and a denormal at
+// scattered pixels. The NaN is the one Inf - Inf makes: when two NaNs
+// meet in a sum, which one survives depends on operand order, which
+// compilers may swap; with a single NaN encoding every NaN result must
+// still match the naive loop bit for bit.
+Tensor ConvInputFor(const ConvCase& c, bool specials, Rng* rng) {
+  Tensor x = RandomTensor(Shape{c.n, c.channels, c.height, c.width}, rng);
+  if (specials) {
+    volatile float inf = std::numeric_limits<float>::infinity();
+    const float values[] = {inf - inf, std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), -0.0f,
+                            std::numeric_limits<float>::denorm_min()};
+    for (int64_t i = 0, j = 0; i < x.size(); i += 11, ++j) {
+      x[i] = values[j % 5];
+    }
+  }
+  return x;
+}
+
+using ConvRowsFn = void (*)(const internal::ConvOperands&, int64_t, int64_t);
+
+// One kernel instance, sample by sample, with each sample's output
+// channels computed in two calls split off the 4-row tile grid.
+void CheckConvKernelAgainstNaive(ConvRowsFn rows, int vector_width) {
+  for (const ConvCase& c : ConvGrid()) {
+    for (bool specials : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "n=" << c.n << " c=" << c.channels << " " << c.height
+                   << "x" << c.width << " out_c=" << c.out_channels
+                   << " k=" << c.kernel << " stride=" << c.stride
+                   << " pad=" << c.pad << " specials=" << specials);
+      Rng rng(c.height * 7919 + c.width * 131 + c.kernel * 17 + c.stride);
+      Tensor x = ConvInputFor(c, specials, &rng);
+      int64_t k = static_cast<int64_t>(c.channels) * c.kernel * c.kernel;
+      Tensor w = RandomTensor(Shape{c.out_channels, k}, &rng);
+      Tensor b = RandomTensor(Shape{c.out_channels}, &rng);
+      int out_h = ConvOutDim(c.height, c.kernel, c.stride, c.pad);
+      int out_w = ConvOutDim(c.width, c.kernel, c.stride, c.pad);
+      int64_t plane = static_cast<int64_t>(out_h) * out_w;
+      Tensor out(Shape{c.n, c.out_channels, out_h, out_w});
+      for (int64_t s = 0; s < c.n; ++s) {
+        internal::ConvInput input = internal::MakeConvInput(
+            x.data() + s * c.channels * c.height * c.width, c.channels,
+            c.height, c.width, c.kernel, c.stride, c.pad, vector_width);
+        internal::ConvOperands g{&input,
+                                 w.data(),
+                                 b.data(),
+                                 out.data() + s * c.out_channels * plane,
+                                 c.out_channels,
+                                 k,
+                                 out_h,
+                                 out_w};
+        rows(g, 0, c.out_channels / 3);
+        rows(g, c.out_channels / 3, c.out_channels);
+      }
+      ExpectBitIdentical(out,
+                         NaiveConv(x, w, b, c.kernel, c.stride, c.pad));
+    }
+  }
+}
+
+TEST(ConvKernelTest, Width4IsBitIdenticalToNaiveLoop) {
+  CheckConvKernelAgainstNaive(&internal::ConvRowsWidth4, 4);
+}
+
+TEST(ConvKernelTest, Width8IsBitIdenticalToNaiveLoop) {
+  if (!internal::CpuHasAvx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  CheckConvKernelAgainstNaive(&internal::ConvRowsWidth8, 8);
+}
+
+// The public op over the same grid: its width choice, the parallel
+// sample and channel split, and the batch layout.
+TEST(ConvKernelTest, Conv2dForwardIsBitIdenticalToNaiveLoop) {
+  for (const ConvCase& c : ConvGrid()) {
+    SCOPED_TRACE(testing::Message()
+                 << "n=" << c.n << " " << c.height << "x" << c.width
+                 << " out_c=" << c.out_channels << " k=" << c.kernel
+                 << " stride=" << c.stride << " pad=" << c.pad);
+    Rng rng(c.height * 31 + c.width * 7 + c.kernel * 3 + c.pad);
+    Tensor x = ConvInputFor(c, /*specials=*/true, &rng);
+    Tensor w = RandomTensor(
+        Shape{c.out_channels,
+              static_cast<int64_t>(c.channels) * c.kernel * c.kernel},
+        &rng);
+    Tensor b = RandomTensor(Shape{c.out_channels}, &rng);
+    ExpectBitIdentical(Conv2dForward(x, w, b, c.kernel, c.stride, c.pad),
+                       NaiveConv(x, w, b, c.kernel, c.stride, c.pad));
   }
 }
 
