@@ -156,59 +156,37 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
   VDRIFT_CHECK(cached_input_.shape().ndim() == 4 &&
                n == cached_input_.shape().dim(0))
       << "Backward batch size mismatch";
-  int64_t bw_out_plane = static_cast<int64_t>(out_h_) * out_w_;
-  int64_t bw_patch = static_cast<int64_t>(in_channels_) * kernel_ * kernel_;
-  // Per sample: dW GEMM + dCols GEMM (2 * out_c * patch * out_plane
-  // each), bias row sums, and the col2im accumulate.
+  int64_t plane = static_cast<int64_t>(out_h_) * out_w_;
+  int64_t patch = static_cast<int64_t>(in_channels_) * kernel_ * kernel_;
+  // Per sample: the dW and dX products (2 * out_c * patch * out_plane
+  // each), the bias row sums, and one accumulate per tap and output pixel
+  // into dX. Bytes: the input, dY and dX once, the weights once and their
+  // gradient twice, and the bias gradient twice.
   VDRIFT_OP_PROBE(
       "nn", "conv2d_backward",
-      n * (4 * out_channels_ * bw_patch * bw_out_plane +
-           out_channels_ * bw_out_plane + bw_patch * bw_out_plane),
-      static_cast<int64_t>(sizeof(float)) * n *
-          (2 * out_channels_ * bw_out_plane + 2 * bw_patch * bw_out_plane +
-           static_cast<int64_t>(in_channels_) * in_h_ * in_w_));
-  Tensor grad_input(Shape{n, in_channels_, in_h_, in_w_});
-  int64_t plane = static_cast<int64_t>(out_h_) * out_w_;
-  int64_t in_plane = static_cast<int64_t>(in_h_) * in_w_;
-  // Per-sample weight/bias contributions land in thread-private slots and
-  // fold into the shared gradients in ascending sample order afterwards —
-  // the exact accumulation order of the serial loop, so parallel backward
-  // is bit-identical to VDRIFT_THREADS=1.
-  std::vector<Tensor> sample_dw(static_cast<size_t>(n));
-  std::vector<std::vector<float>> sample_db(
-      static_cast<size_t>(n),
-      std::vector<float>(static_cast<size_t>(out_channels_), 0.0f));
-  ParallelFor(0, n, 1, [&](int64_t s_begin, int64_t s_end) {
-    for (int64_t s = s_begin; s < s_end; ++s) {
-      Tensor dy(Shape{out_channels_, plane});
-      const float* src = grad_output.data() + s * out_channels_ * plane;
-      std::copy(src, src + dy.size(), dy.data());
-      // dW_s = dY cols^T ; db_s = row sums of dY.
-      Tensor cols = tensor::Im2Col(
-          cached_input_.data() + s * in_channels_ * in_plane, in_channels_,
-          in_h_, in_w_, kernel_, kernel_, stride_, pad_, out_h_, out_w_);
-      sample_dw[static_cast<size_t>(s)] = tensor::MatmulTransposedB(dy, cols);
-      std::vector<float>& db = sample_db[static_cast<size_t>(s)];
-      for (int64_t c = 0; c < out_channels_; ++c) {
-        double acc = 0.0;
-        for (int64_t p = 0; p < plane; ++p) acc += dy[c * plane + p];
-        db[static_cast<size_t>(c)] = static_cast<float>(acc);
-      }
-      // dCols = W^T dY ; dX = col2im(dCols).
-      Tensor dcols = tensor::MatmulTransposedA(weight_.value, dy);
-      Tensor dx = tensor::Col2Im(dcols, in_channels_, in_h_, in_w_, kernel_,
-                                 kernel_, stride_, pad_, out_h_, out_w_);
-      float* dst = grad_input.data() + s * in_channels_ * in_plane;
-      std::copy(dx.data(), dx.data() + dx.size(), dst);
-    }
-  });
-  for (int64_t s = 0; s < n; ++s) {
-    tensor::AddInPlace(&weight_.grad, sample_dw[static_cast<size_t>(s)]);
-    const std::vector<float>& db = sample_db[static_cast<size_t>(s)];
-    for (int64_t c = 0; c < out_channels_; ++c) {
-      bias_.grad[c] += db[static_cast<size_t>(c)];
-    }
-  }
+      n * (4 * out_channels_ * patch * plane + out_channels_ * plane +
+           patch * plane),
+      static_cast<int64_t>(sizeof(float)) *
+          (2 * cached_input_.size() + grad_output.size() +
+           3 * out_channels_ * patch + 2 * out_channels_));
+  Tensor grad_input =
+      tensor::Conv2dBackward(cached_input_, weight_.value, grad_output,
+                             kernel_, stride_, pad_, &weight_.grad);
+  // db += each sample's row sums of dY, in double, rounded once and added
+  // in ascending sample order, so any channel split is bit-identical.
+  const float* pdy = grad_output.data();
+  float* pdb = bias_.grad.data();
+  ParallelFor(0, out_channels_, GrainForCost(n * plane),
+              [&](int64_t c_begin, int64_t c_end) {
+                for (int64_t c = c_begin; c < c_end; ++c) {
+                  for (int64_t s = 0; s < n; ++s) {
+                    const float* row = pdy + (s * out_channels_ + c) * plane;
+                    double acc = 0.0;
+                    for (int64_t p = 0; p < plane; ++p) acc += row[p];
+                    pdb[c] += static_cast<float>(acc);
+                  }
+                }
+              });
   return grad_input;
 }
 

@@ -36,9 +36,10 @@ class Linear : public Layer {
 
 /// \brief 2-D convolution over [N, C, H, W] batches.
 ///
-/// Forward is an implicit GEMM (tensor::Conv2dForward), which builds no
-/// im2col matrix; Backward uses im2col and GEMMs. Weight is stored
-/// [out_channels, in_channels * kh * kw].
+/// Forward and Backward are implicit GEMMs (tensor::Conv2dForward and
+/// tensor::Conv2dBackward) that read each sample's receptive fields from a
+/// padded copy of it, so neither builds a patch (im2col) matrix. Weight
+/// is stored [out_channels, in_channels * kh * kw].
 class Conv2d : public Layer {
  public:
   Conv2d(int in_channels, int out_channels, int kernel, int stride, int pad,
@@ -57,9 +58,9 @@ class Conv2d : public Layer {
   int pad_;
   Parameter weight_;
   Parameter bias_;
-  // The input, from which Backward builds each sample's im2col matrix,
-  // plus its geometry. Caching the matrices instead would hold kernel^2 /
-  // stride^2 times as much in every model instance between calls.
+  // The input, from which Backward builds each sample's padded copy, plus
+  // its geometry. Caching the padded copies that Forward builds instead
+  // would hold them in every model instance between calls.
   tensor::Tensor cached_input_;
   int in_h_ = 0;
   int in_w_ = 0;

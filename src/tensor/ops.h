@@ -31,11 +31,27 @@ Tensor MatmulTransposedA(const Tensor& a, const Tensor& b);
 /// [out_c, C * kernel * kernel] (columns ordered (c, ky, kx)), `bias`
 /// [out_c], zero padding `pad` and stride `stride` -> [N, out_c, out_h,
 /// out_w]. Each output is its taps' products summed in ascending
-/// (c, ky, kx) from +0, plus the bias: the naive loop's exact bits, which
-/// are also those of im2col, Matmul and a bias add. No im2col matrix is
-/// built (implicit GEMM). The kernel must fit the padded input.
+/// (c, ky, kx) from +0, plus the bias: the naive loop's exact bits. The
+/// kernel reads each sample's receptive fields in place from a padded
+/// copy (implicit GEMM), so no [C * kernel^2, out_h * out_w] patch matrix
+/// is built. The kernel must fit the padded input.
 Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
                      const Tensor& bias, int kernel, int stride, int pad);
+
+/// Gradients of Conv2dForward given dY = `grad_output` [N, out_c, out_h,
+/// out_w]. Adds each sample's weight gradient into `weight_grad` [out_c,
+/// C * kernel * kernel] in ascending sample order and returns the input
+/// gradient [N, C, H, W]; the bias gradient (dY's row sums) is the
+/// caller's. Sample s's weight gradient at (o, (c, ky, kx)) sums dY[s, o,
+/// p] times the padded input under tap (c, ky, kx) at output pixel p, in
+/// ascending p from +0; a padding cell adds dY * 0. Input pixel (c, iy,
+/// ix) starts at +0 and adds, for each tap (ky, kx) in ascending order
+/// whose output pixel p reads it, the sum over o in ascending order from
+/// +0 of weight[o, (c, ky, kx)] * dY[s, o, p]; a tap reading padding adds
+/// nothing. No step is fused, and no patch matrix is built.
+Tensor Conv2dBackward(const Tensor& input, const Tensor& weight,
+                      const Tensor& grad_output, int kernel, int stride,
+                      int pad, Tensor* weight_grad);
 
 /// Transpose of a 2-D tensor.
 Tensor Transpose2D(const Tensor& a);
@@ -45,19 +61,6 @@ double Sum(const Tensor& a);
 
 /// Mean of all elements (0 for empty tensors).
 double Mean(const Tensor& a);
-
-/// im2col for 2-D convolution. Input: `channels` row-major [height, width]
-/// planes at `input` (one sample of an NCHW batch, read in place). Output:
-/// a [C*kh*kw, out_h*out_w] matrix whose columns are the receptive fields.
-/// Out-of-bounds (padding) cells are zero. Used by the convolution
-/// backward pass.
-Tensor Im2Col(const float* input, int channels, int height, int width,
-              int kh, int kw, int stride, int pad, int out_h, int out_w);
-
-/// Inverse of Im2Col: scatters (accumulates) columns back into a [C, H, W]
-/// tensor. Used by the convolution backward pass.
-Tensor Col2Im(const Tensor& cols, int channels, int height, int width, int kh,
-              int kw, int stride, int pad, int out_h, int out_w);
 
 /// Output spatial extent of a convolution along one axis.
 inline int ConvOutDim(int in, int kernel, int stride, int pad) {

@@ -16,7 +16,7 @@ namespace {
 // Gathers the shuffled minibatch [start, end) of `order` into one [N, C,
 // H, W] batch tensor. Per-sample copies land in disjoint slices, so they
 // run on the pool; the heavy per-sample loss/grad work inside TrainStep
-// (implicit-GEMM conv forward, im2col/GEMM conv backward, per sample)
+// (implicit-GEMM conv forward and backward, per sample)
 // parallelizes the same way.
 tensor::Tensor GatherBatch(const std::vector<tensor::Tensor>& frames,
                            const std::vector<int>& order, size_t start,

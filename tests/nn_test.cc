@@ -26,6 +26,7 @@
 #include "stats/rng.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "conv_reference.h"
 
 namespace vdrift::nn {
 namespace {
@@ -56,6 +57,12 @@ Tensor ObjectiveGrad(const Tensor& y) {
   Tensor g = y;
   for (int64_t i = 0; i < g.size(); ++i) g[i] *= 2.0f;
   return g;
+}
+
+uint32_t Bits(float f) {
+  uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
 }
 
 // Verifies analytic input- and parameter-gradients of `layer` against
@@ -144,11 +151,82 @@ TEST(Conv2dTest, StrideAndPaddingShapes) {
   EXPECT_EQ(y.shape(), (Shape{3, 5, 4, 4}));
 }
 
+// k3/s2/p1 as the encoder uses it, stride 1 as the decoder does, kernels
+// 1 and 5, pads 0 and 2, and an out_c past the 8-lane vector. The finite
+// differences catch a gradient formula that the bitwise oracles and the
+// kernels might copy wrongly from the same spec.
 TEST(Conv2dTest, GradientsMatchFiniteDifferences) {
+  struct Geometry {
+    int in_c, out_c, kernel, stride, pad, size;
+  };
+  const Geometry cases[] = {{2, 3, 3, 2, 1, 5},  {2, 3, 3, 1, 1, 5},
+                            {3, 2, 1, 1, 0, 4},  {1, 2, 5, 1, 2, 5},
+                            {2, 2, 5, 2, 2, 6},  {2, 2, 3, 1, 0, 5},
+                            {2, 10, 3, 1, 1, 4}, {1, 9, 2, 3, 2, 5}};
   Rng rng(5);
-  Conv2d conv(2, 3, 3, 2, 1, &rng);
-  Tensor x = RandomTensor(Shape{2, 2, 5, 5}, &rng, 0.5);
-  CheckLayerGradients(&conv, x, 5e-2f);
+  for (const Geometry& g : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << "in_c=" << g.in_c << " out_c=" << g.out_c
+                 << " k=" << g.kernel << " stride=" << g.stride
+                 << " pad=" << g.pad << " size=" << g.size);
+    Conv2d conv(g.in_c, g.out_c, g.kernel, g.stride, g.pad, &rng);
+    Tensor x = RandomTensor(Shape{2, g.in_c, g.size, g.size}, &rng, 0.5);
+    CheckLayerGradients(&conv, x, 5e-2f);
+  }
+}
+
+void ExpectBitIdentical(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  for (int64_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(Bits(got[i]), Bits(want[i]))
+        << "at flat index " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+// Conv2d::Backward against the naive loops of tests/conv_reference.h, bit
+// for bit: dX, and dW and db folded into gradients that already hold
+// values, so the per-sample fold order shows. Each case runs with finite
+// operands, then with NaN, +-Inf, -0 and denormals planted in x, in dy and
+// in W in turn; the W case also puts an Inf weight on a tap that reads
+// only padding, where it must not reach dX.
+TEST(Conv2dTest, BackwardIsBitIdenticalToNaiveLoops) {
+  using conv_reference::ConvCase;
+  using conv_reference::RandomValues;
+  for (const ConvCase& c : conv_reference::ConvBackwardGrid()) {
+    for (int specials = 0; specials < 4; ++specials) {
+      SCOPED_TRACE(testing::Message()
+                   << "n=" << c.n << " c=" << c.channels << " " << c.height
+                   << "x" << c.width << " out_c=" << c.out_channels
+                   << " k=" << c.kernel << " stride=" << c.stride
+                   << " pad=" << c.pad << " specials=" << specials);
+      Rng rng(c.height * 7919 + c.width * 131 + c.kernel * 17 + c.stride +
+              specials);
+      Conv2d conv(c.channels, c.out_channels, c.kernel, c.stride, c.pad,
+                  &rng);
+      Parameter* w = conv.Params()[0];
+      Parameter* b = conv.Params()[1];
+      w->value = RandomValues(w->value.shape(), specials == 3, 7, 2, &rng);
+      const int64_t padding_tap = conv_reference::PaddingOnlyTap(c);
+      if (specials == 3 && padding_tap >= 0) {
+        w->value.At2(0, padding_tap) = std::numeric_limits<float>::infinity();
+      }
+      w->grad = RandomValues(w->grad.shape(), false, 1, 0, &rng);
+      b->grad = RandomValues(b->grad.shape(), false, 1, 0, &rng);
+      Tensor want_dw = w->grad;
+      Tensor want_db = b->grad;
+      Tensor x = RandomValues(Shape{c.n, c.channels, c.height, c.width},
+                              specials == 1, 11, 0, &rng);
+      Tensor dy = RandomValues(Shape{c.n, c.out_channels, c.out_h(), c.out_w()},
+                               specials == 2, 13, 5, &rng);
+      conv.Forward(x);
+      Tensor dx = conv.Backward(dy);
+      conv_reference::NaiveWeightGrad(c, x, dy, &want_dw);
+      conv_reference::NaiveBiasGrad(c, dy, &want_db);
+      ExpectBitIdentical(dx, conv_reference::NaiveInputGrad(c, w->value, dy));
+      ExpectBitIdentical(w->grad, want_dw);
+      ExpectBitIdentical(b->grad, want_db);
+    }
+  }
 }
 
 // Kernel-probe attribution against the closed-form layer FLOP counts
@@ -186,10 +264,32 @@ TEST(Conv2dTest, ForwardAttributesFlops) {
             flops + 2 * (1728 + 48));
 }
 
-uint32_t Bits(float f) {
-  uint32_t u;
-  std::memcpy(&u, &f, sizeof(u));
-  return u;
+TEST(Conv2dTest, BackwardAttributesFlops) {
+  obs::MetricsRegistry& global = obs::Global();
+  Rng rng(23);
+  Conv2d conv(2, 3, 3, 1, 1, &rng);
+  Tensor x = RandomTensor(Shape{2, 2, 4, 4}, &rng);
+  Tensor y = conv.Forward(x);
+  int64_t calls =
+      global.GetCounter("vdrift.ops.nn.conv2d_backward.calls").value();
+  int64_t flops =
+      global.GetCounter("vdrift.ops.nn.conv2d_backward.flops").value();
+  int64_t tensor_flops =
+      global.GetCounter("vdrift.ops.tensor.conv2d_backward.flops").value();
+  Tensor dx = conv.Backward(RandomTensor(y.shape(), &rng));
+  EXPECT_EQ(dx.shape(), x.shape());
+  EXPECT_EQ(global.GetCounter("vdrift.ops.nn.conv2d_backward.calls").value(),
+            calls + 1);
+  // Per sample: the dW and dX products, 2 * out_c * (in_c * k * k) *
+  // (out_h * out_w) = 2 * 3 * 18 * 16 = 1728 each, the bias row sums
+  // 3 * 16 = 48, and one accumulate per tap and output pixel into dX,
+  // 18 * 16 = 288; N = 2.
+  EXPECT_EQ(global.GetCounter("vdrift.ops.nn.conv2d_backward.flops").value(),
+            flops + 2 * (2 * 1728 + 48 + 288));
+  // The tensor op leaves the bias sums to the layer.
+  EXPECT_EQ(
+      global.GetCounter("vdrift.ops.tensor.conv2d_backward.flops").value(),
+      tensor_flops + 2 * (2 * 1728 + 288));
 }
 
 // Bitwise: y = x > 0 ? x : +0, mask = x > 0 ? 1 : 0 and dx = dy * mask, so
