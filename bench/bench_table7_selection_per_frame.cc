@@ -42,7 +42,10 @@ int main() {
   }
   const int kRepeats = 20;
 
-  select::Msbo msbo(&bench->registry, bench->calibration,
+  select::Msbo msbo(&bench->registry,
+                    select::CalibrateMsbo(bench->registry,
+                                          bench->calibration_samples)
+                        .ValueOrDie(),
                     select::MsboConfig{});
   Clock::time_point t0 = Clock::now();
   for (int i = 0; i < kRepeats; ++i) {

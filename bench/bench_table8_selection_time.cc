@@ -64,7 +64,11 @@ int main() {
     harness.SetPrimaryStage(prefix + ".odin_frame");
 
     // MSBO / MSBI: one selection per drift (m-1 drifts in the stream).
-    select::Msbo msbo(&bench->registry, bench->calibration,
+    // Calibration is offline set-up (§5.2.2), outside the timed selections.
+    select::Msbo msbo(&bench->registry,
+                      select::CalibrateMsbo(bench->registry,
+                                            bench->calibration_samples)
+                          .ValueOrDie(),
                       select::MsboConfig{});
     select::Msbi msbi(&bench->registry, select::MsbiConfig{});
     for (int target = 1; target < m; ++target) {

@@ -9,6 +9,7 @@
 #include "stats/moments.h"
 #include "detect/image_classifier.h"
 #include "nn/serialize.h"
+#include "runtime/parallel.h"
 #include "video/frame_stats.h"
 #include "video/stream.h"
 
@@ -240,12 +241,21 @@ Result<std::unique_ptr<Workbench>> BuildWorkbench(
   auto bench = std::make_unique<Workbench>();
   bench->dataset = MakeDataset(dataset_name, options.dataset_scale);
   stats::Rng rng(options.seed);
-  // Training frames are regenerated deterministically in either path.
-  for (size_t i = 0; i < bench->dataset.segments.size(); ++i) {
-    bench->training_frames.push_back(video::GenerateFrames(
-        bench->dataset.segments[i].spec, options.train_frames,
-        bench->dataset.image_size, options.seed + 1000 + i));
-  }
+  // Training frames are regenerated deterministically in either path;
+  // each segment renders from its own seed, so segments run in parallel.
+  const std::vector<video::Segment>& segments = bench->dataset.segments;
+  bench->training_frames.resize(segments.size());
+  runtime::ParallelFor(
+      0, static_cast<int64_t>(segments.size()), 1,
+      [&](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+          bench->training_frames[static_cast<size_t>(i)] =
+              video::GenerateFrames(
+                  segments[static_cast<size_t>(i)].spec, options.train_frames,
+                  bench->dataset.image_size,
+                  options.seed + 1000 + static_cast<uint64_t>(i));
+        }
+      });
 
   std::string cache_path;
   if (!options.cache_dir.empty()) {
@@ -303,16 +313,15 @@ Result<std::unique_ptr<Workbench>> BuildWorkbench(
   }
   bench->loaded_from_cache = loaded;
 
-  // Calibration samples + MSBO calibration are cheap; always recomputed.
+  // Calibration samples are cheap and always redrawn. The MSBO
+  // calibration itself is left to whoever selects with MSBO: a pipeline
+  // calibrates on its first Run, a bench calls CalibrateMsbo.
   stats::Rng sample_rng(options.seed + 77);
   for (size_t i = 0; i < bench->training_frames.size(); ++i) {
     bench->calibration_samples.push_back(pipeline::MakeLabeledSample(
         bench->training_frames[i], options.provision.count_classes,
         options.calibration_sample, &sample_rng));
   }
-  VDRIFT_ASSIGN_OR_RETURN(
-      bench->calibration,
-      select::CalibrateMsbo(bench->registry, bench->calibration_samples));
   return bench;
 }
 

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/msbo.h"
+#include "core/ensemble.h"
 #include "core/registry.h"
 #include "pipeline/provision.h"
 #include "video/datasets.h"
@@ -36,13 +36,15 @@ WorkbenchOptions DefaultWorkbenchOptions();
 /// every bench, and each table/figure bench needs the same models, so the
 /// workbench serializes all trained parameters to `cache_dir` on first
 /// build and reloads them afterwards. Training frames and calibration
-/// samples are regenerated deterministically from the scene specs.
+/// samples are regenerated deterministically from the scene specs. The
+/// workbench does not calibrate MSBO: a DriftAwarePipeline calibrates
+/// itself on its first Run, and a caller that builds a bare select::Msbo
+/// runs select::CalibrateMsbo(registry, calibration_samples) first.
 struct Workbench {
   video::SyntheticDataset dataset;
   select::ModelRegistry registry;  ///< One entry per dataset sequence.
   std::vector<std::vector<video::Frame>> training_frames;
   std::vector<std::vector<select::LabeledFrame>> calibration_samples;
-  select::MsboCalibration calibration;
   bool loaded_from_cache = false;
 };
 

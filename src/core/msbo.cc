@@ -17,65 +17,95 @@ Result<MsboCalibration> CalibrateMsbo(
   if (registry.empty()) {
     return Status::FailedPrecondition("registry is empty");
   }
-  if (static_cast<int>(samples.size()) != registry.size()) {
+  const int m = registry.size();
+  if (static_cast<int>(samples.size()) != m) {
     return Status::InvalidArgument("need one sample set per model");
   }
-  for (int j = 0; j < registry.size(); ++j) {
+  for (int j = 0; j < m; ++j) {
     if (registry.at(j).ensemble == nullptr) {
       return Status::FailedPrecondition("model '" + registry.at(j).name +
                                         "' has no ensemble");
     }
   }
-  MsboCalibration calibration;
-  calibration.pc_avg.resize(static_cast<size_t>(registry.size()));
-  calibration.sigma.resize(static_cast<size_t>(registry.size()));
-  // Global h (§5.2.2): average foreign-ensemble uncertainty per sample.
-  stats::RunningMoments sample_moments;
-  for (int i = 0; i < registry.size(); ++i) {
-    const std::vector<LabeledFrame>& sample = samples[static_cast<size_t>(i)];
+  for (const std::vector<LabeledFrame>& sample : samples) {
     if (sample.empty()) {
       return Status::InvalidArgument("empty calibration sample");
     }
-    stats::RunningMoments foreign;
-    for (int j = 0; j < registry.size(); ++j) {
-      if (i == j) continue;
-      foreign.Add(registry.at(j).ensemble->AverageBrier(sample));
-    }
-    if (foreign.count() > 0) sample_moments.Add(foreign.mean());
   }
-  if (sample_moments.count() > 0) {
-    calibration.global_h = sample_moments.mean() - sample_moments.stddev();
-  } else {
+  obs::TraceSpan span(&obs::Global(), "vdrift.select.msbo.calibrate_seconds");
+  // scores[j][i][f]: ensemble j's Brier on frame f of sample S_Ti, for
+  // every foreign pair i != j — or, in a single-model registry, the lone
+  // model on its own sample. Each pair is scored once; ensembles score in
+  // parallel (each registry entry owns its members, as in Select), and
+  // every aggregate below folds in the serial order on this thread, so
+  // the calibration is bit-identical at every thread count.
+  using Scores = std::vector<std::vector<double>>;
+  std::vector<Scores> scores(static_cast<size_t>(m),
+                             Scores(static_cast<size_t>(m)));
+  runtime::ParallelFor(0, m, 1, [&](int64_t begin, int64_t end) {
+    for (int64_t j = begin; j < end; ++j) {
+      const DeepEnsemble& ensemble = *registry.at(static_cast<int>(j)).ensemble;
+      for (int i = 0; i < m; ++i) {
+        if (i == j && m > 1) continue;
+        std::vector<double>& row =
+            scores[static_cast<size_t>(j)][static_cast<size_t>(i)];
+        for (const LabeledFrame& lf : samples[static_cast<size_t>(i)]) {
+          row.push_back(ensemble.BrierScore(lf.pixels, lf.label));
+        }
+      }
+    }
+  });
+  int64_t forwards = 0;
+  for (int j = 0; j < m; ++j) {
+    for (const std::vector<double>& row : scores[static_cast<size_t>(j)]) {
+      forwards += static_cast<int64_t>(row.size()) *
+                  registry.at(j).ensemble->size();
+    }
+  }
+  obs::Global()
+      .GetCounter("vdrift.select.msbo.calibration_invocations")
+      .Increment(forwards);
+  // Ensemble j's average Brier on S_Ti, summed as AverageBrier does.
+  auto average = [&](int j, int i) {
+    double total = 0.0;
+    for (double s : scores[static_cast<size_t>(j)][static_cast<size_t>(i)]) {
+      total += s;
+    }
+    return total / static_cast<double>(samples[static_cast<size_t>(i)].size());
+  };
+
+  MsboCalibration calibration;
+  calibration.pc_avg.assign(static_cast<size_t>(m), 1.0);
+  calibration.sigma.assign(static_cast<size_t>(m), 0.0);
+  if (m == 1) {
     // Single-model registry: no foreign data to calibrate against, so the
     // baseline comes from the lone model's own-distribution uncertainty —
     // new data is accepted only while the model stays roughly as
-    // confident as it is at home (1.5x its own average Brier).
-    stats::RunningMoments own;
-    for (int i = 0; i < registry.size(); ++i) {
-      own.Add(registry.at(i).ensemble->AverageBrier(
-          samples[static_cast<size_t>(i)]));
-    }
-    calibration.global_h = 1.5 * own.mean();
+    // confident as it is at home (1.5x its own average Brier) — and
+    // pc_avg/sigma keep a permissive 1/0.
+    calibration.global_h = 1.5 * average(0, 0);
+    return calibration;
   }
-  for (int j = 0; j < registry.size(); ++j) {
+  // Global h (§5.2.2): average foreign-ensemble uncertainty per sample.
+  stats::RunningMoments sample_moments;
+  for (int i = 0; i < m; ++i) {
+    stats::RunningMoments foreign;
+    for (int j = 0; j < m; ++j) {
+      if (i != j) foreign.Add(average(j, i));
+    }
+    sample_moments.Add(foreign.mean());
+  }
+  calibration.global_h = sample_moments.mean() - sample_moments.stddev();
+  for (int j = 0; j < m; ++j) {
     stats::RunningMoments moments;
-    for (int i = 0; i < registry.size(); ++i) {
+    for (int i = 0; i < m; ++i) {
       if (i == j) continue;
-      const std::vector<LabeledFrame>& sample =
-          samples[static_cast<size_t>(i)];
-      for (const LabeledFrame& lf : sample) {
-        moments.Add(registry.at(j).ensemble->BrierScore(lf.pixels, lf.label));
+      for (double s : scores[static_cast<size_t>(j)][static_cast<size_t>(i)]) {
+        moments.Add(s);
       }
     }
-    if (moments.count() == 0) {
-      // Single-model registry: no foreign data; fall back to a permissive
-      // baseline so the lone model is accepted on matching data.
-      calibration.pc_avg[static_cast<size_t>(j)] = 1.0;
-      calibration.sigma[static_cast<size_t>(j)] = 0.0;
-    } else {
-      calibration.pc_avg[static_cast<size_t>(j)] = moments.mean();
-      calibration.sigma[static_cast<size_t>(j)] = moments.stddev();
-    }
+    calibration.pc_avg[static_cast<size_t>(j)] = moments.mean();
+    calibration.sigma[static_cast<size_t>(j)] = moments.stddev();
   }
   return calibration;
 }

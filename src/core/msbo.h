@@ -30,7 +30,10 @@ struct MsboCalibration {
 
 /// Runs the calibration. `samples[i]` is the labeled sample S_Ti of
 /// distribution i (same order as the registry). Every registry entry must
-/// carry an ensemble.
+/// carry an ensemble and no sample may be empty; both are checked before
+/// any model runs. Each foreign (ensemble, frame) pair is scored once —
+/// m(m-1)·|S|·L member forwards, with ensembles scoring in parallel — and
+/// the result is bit-identical at every thread count.
 Result<MsboCalibration> CalibrateMsbo(
     const ModelRegistry& registry,
     const std::vector<std::vector<LabeledFrame>>& samples);

@@ -14,6 +14,7 @@
 #include "benchutil/metrics_report.h"
 #include "benchutil/table.h"
 #include "benchutil/workbench.h"
+#include "core/msbo.h"
 #include "obs/json.h"
 #include "scoped_env.h"
 #include "video/stream.h"
@@ -118,13 +119,19 @@ TEST(WorkbenchTest, CacheRoundTripPreservesModels) {
               second->registry.at(m).profile->sigma().size());
   }
   // Calibration recomputed identically.
-  ASSERT_EQ(first->calibration.pc_avg.size(),
-            second->calibration.pc_avg.size());
-  for (size_t i = 0; i < first->calibration.pc_avg.size(); ++i) {
-    EXPECT_NEAR(first->calibration.pc_avg[i], second->calibration.pc_avg[i],
+  select::MsboCalibration first_calibration =
+      select::CalibrateMsbo(first->registry, first->calibration_samples)
+          .ValueOrDie();
+  select::MsboCalibration second_calibration =
+      select::CalibrateMsbo(second->registry, second->calibration_samples)
+          .ValueOrDie();
+  ASSERT_EQ(first_calibration.pc_avg.size(),
+            second_calibration.pc_avg.size());
+  for (size_t i = 0; i < first_calibration.pc_avg.size(); ++i) {
+    EXPECT_NEAR(first_calibration.pc_avg[i], second_calibration.pc_avg[i],
                 1e-9);
   }
-  EXPECT_NEAR(first->calibration.global_h, second->calibration.global_h,
+  EXPECT_NEAR(first_calibration.global_h, second_calibration.global_h,
               1e-9);
   std::filesystem::remove_all(cache);
 }

@@ -3,6 +3,7 @@
 // A three-distribution registry (Day / Night / Rain) is provisioned once
 // per suite because training is the expensive part.
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -11,9 +12,13 @@
 #include "core/ensemble.h"
 #include "core/msbi.h"
 #include "core/msbo.h"
+#include "core/profile.h"
 #include "core/registry.h"
 #include "detect/annotator.h"
+#include "obs/metrics.h"
 #include "pipeline/provision.h"
+#include "runtime/parallel.h"
+#include "stats/moments.h"
 #include "stats/rng.h"
 #include "video/datasets.h"
 #include "video/stream.h"
@@ -41,6 +46,21 @@ class FakeClassifier : public nn::ProbabilisticClassifier {
 
  private:
   std::vector<float> proba_;
+};
+
+// Returns fixed probabilities and counts every forward in a counter that
+// all members of a registry share (calibration may score in parallel).
+class CountingClassifier : public FakeClassifier {
+ public:
+  CountingClassifier(std::vector<float> proba, std::atomic<int>* forwards)
+      : FakeClassifier(std::move(proba)), forwards_(forwards) {}
+  std::vector<float> PredictProba(const tensor::Tensor& frame) override {
+    forwards_->fetch_add(1);
+    return FakeClassifier::PredictProba(frame);
+  }
+
+ private:
+  std::atomic<int>* forwards_;
 };
 
 tensor::Tensor DummyFrame() { return tensor::Tensor(tensor::Shape{1, 4, 4}); }
@@ -302,6 +322,169 @@ TEST_F(SelectionFixture, MsboTradeoffFasterThanMsbi) {
 TEST_F(SelectionFixture, CalibrationRejectsMismatchedSamples) {
   std::vector<std::vector<LabeledFrame>> short_samples(2);
   EXPECT_FALSE(CalibrateMsbo(*registry_, short_samples).ok());
+}
+
+// The calibration as first written: AverageBrier per (sample, foreign
+// ensemble) for h, then a per-frame BrierScore sweep for pc_avg and sigma,
+// scoring every pair twice, serially. CalibrateMsbo must match it bit for
+// bit at every thread count.
+MsboCalibration TwoPassReferenceCalibration(
+    const ModelRegistry& registry,
+    const std::vector<std::vector<LabeledFrame>>& samples) {
+  MsboCalibration calibration;
+  calibration.pc_avg.resize(static_cast<size_t>(registry.size()));
+  calibration.sigma.resize(static_cast<size_t>(registry.size()));
+  stats::RunningMoments sample_moments;
+  for (int i = 0; i < registry.size(); ++i) {
+    stats::RunningMoments foreign;
+    for (int j = 0; j < registry.size(); ++j) {
+      if (i == j) continue;
+      foreign.Add(registry.at(j).ensemble->AverageBrier(
+          samples[static_cast<size_t>(i)]));
+    }
+    if (foreign.count() > 0) sample_moments.Add(foreign.mean());
+  }
+  if (sample_moments.count() > 0) {
+    calibration.global_h = sample_moments.mean() - sample_moments.stddev();
+  } else {
+    stats::RunningMoments own;
+    for (int i = 0; i < registry.size(); ++i) {
+      own.Add(registry.at(i).ensemble->AverageBrier(
+          samples[static_cast<size_t>(i)]));
+    }
+    calibration.global_h = 1.5 * own.mean();
+  }
+  for (int j = 0; j < registry.size(); ++j) {
+    stats::RunningMoments moments;
+    for (int i = 0; i < registry.size(); ++i) {
+      if (i == j) continue;
+      for (const LabeledFrame& lf : samples[static_cast<size_t>(i)]) {
+        moments.Add(registry.at(j).ensemble->BrierScore(lf.pixels, lf.label));
+      }
+    }
+    calibration.pc_avg[static_cast<size_t>(j)] =
+        moments.count() == 0 ? 1.0 : moments.mean();
+    calibration.sigma[static_cast<size_t>(j)] =
+        moments.count() == 0 ? 0.0 : moments.stddev();
+  }
+  return calibration;
+}
+
+void ExpectSameCalibration(const MsboCalibration& expected,
+                           const MsboCalibration& actual) {
+  ASSERT_EQ(expected.pc_avg.size(), actual.pc_avg.size());
+  ASSERT_EQ(expected.sigma.size(), actual.sigma.size());
+  for (size_t j = 0; j < expected.pc_avg.size(); ++j) {
+    EXPECT_EQ(expected.pc_avg[j], actual.pc_avg[j]) << "model " << j;
+    EXPECT_EQ(expected.sigma[j], actual.sigma[j]) << "model " << j;
+  }
+  EXPECT_EQ(expected.global_h, actual.global_h);
+}
+
+TEST_F(SelectionFixture, CalibrationMatchesTwoPassReference) {
+  ModelRegistry single;
+  single.Add(registry_->at(0));
+  std::vector<std::vector<LabeledFrame>> single_samples{samples_->front()};
+  const MsboCalibration reference =
+      TwoPassReferenceCalibration(*registry_, *samples_);
+  const MsboCalibration single_reference =
+      TwoPassReferenceCalibration(single, single_samples);
+  EXPECT_EQ(single_reference.pc_avg[0], 1.0);
+  EXPECT_EQ(single_reference.sigma[0], 0.0);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    runtime::ScopedThreads scoped(threads);
+    ExpectSameCalibration(reference,
+                          CalibrateMsbo(*registry_, *samples_).ValueOrDie());
+    ExpectSameCalibration(
+        single_reference,
+        CalibrateMsbo(single, single_samples).ValueOrDie());
+  }
+}
+
+// A registry of `models` ensembles with `members` counting fakes each;
+// every ensemble predicts a different fixed mixture.
+ModelRegistry CountingRegistry(int models, int members,
+                               std::atomic<int>* forwards) {
+  // Calibration never reads the profile; the registry just requires one.
+  vae::VaeConfig tiny;
+  tiny.image_size = 8;
+  tiny.latent_dim = 1;
+  tiny.base_filters = 1;
+  Rng rng(1);
+  auto profile = std::make_shared<conformal::DistributionProfile>(
+      "fake", std::make_shared<vae::Vae>(tiny, &rng),
+      conformal::PointSet::Build({{0.0f}, {1.0f}}, 1).ValueOrDie());
+  ModelRegistry registry;
+  for (int j = 0; j < models; ++j) {
+    std::vector<std::shared_ptr<nn::ProbabilisticClassifier>> fakes;
+    for (int l = 0; l < members; ++l) {
+      float p = 0.1f * static_cast<float>(j + l + 1);
+      fakes.push_back(std::make_shared<CountingClassifier>(
+          std::vector<float>{p, 1.0f - p}, forwards));
+    }
+    ModelEntry entry;
+    entry.name = "m" + std::to_string(j);
+    entry.profile = profile;
+    entry.ensemble = std::make_shared<DeepEnsemble>(
+        DeepEnsemble::Make(std::move(fakes)).ValueOrDie());
+    registry.Add(std::move(entry));
+  }
+  return registry;
+}
+
+std::vector<std::vector<LabeledFrame>> DummySamples(int models, int frames) {
+  std::vector<std::vector<LabeledFrame>> samples(static_cast<size_t>(models));
+  for (int i = 0; i < models; ++i) {
+    for (int f = 0; f < frames; ++f) {
+      samples[static_cast<size_t>(i)].push_back({DummyFrame(), f % 2});
+    }
+  }
+  return samples;
+}
+
+TEST(MsboCalibrationTest, ScoresEachForeignFrameOncePerMember) {
+  const int m = 3;
+  const int members = 2;
+  const int frames = 4;
+  std::atomic<int> forwards{0};
+  ModelRegistry registry = CountingRegistry(m, members, &forwards);
+  obs::Counter& reported =
+      obs::Global().GetCounter("vdrift.select.msbo.calibration_invocations");
+  for (int threads : {1, 4}) {
+    runtime::ScopedThreads scoped(threads);
+    forwards = 0;
+    const int64_t reported_before = reported.value();
+    ASSERT_TRUE(CalibrateMsbo(registry, DummySamples(m, frames)).ok());
+    EXPECT_EQ(forwards.load(), m * (m - 1) * frames * members)
+        << threads << " threads";
+    EXPECT_EQ(reported.value() - reported_before, forwards.load());
+  }
+}
+
+TEST(MsboCalibrationTest, SingleModelScoresItsOwnSampleOnce) {
+  const int members = 2;
+  const int frames = 4;
+  std::atomic<int> forwards{0};
+  ModelRegistry registry = CountingRegistry(1, members, &forwards);
+  MsboCalibration calibration =
+      CalibrateMsbo(registry, DummySamples(1, frames)).ValueOrDie();
+  EXPECT_EQ(forwards.load(), frames * members);
+  EXPECT_EQ(calibration.pc_avg[0], 1.0);
+  EXPECT_EQ(calibration.sigma[0], 0.0);
+  EXPECT_GT(calibration.global_h, 0.0);
+}
+
+TEST(MsboCalibrationTest, EmptySampleIsRejectedBeforeAnyForward) {
+  const int m = 3;
+  std::atomic<int> forwards{0};
+  ModelRegistry registry = CountingRegistry(m, 2, &forwards);
+  std::vector<std::vector<LabeledFrame>> samples = DummySamples(m, 4);
+  samples.back().clear();
+  Result<MsboCalibration> calibration = CalibrateMsbo(registry, samples);
+  ASSERT_FALSE(calibration.ok());
+  EXPECT_EQ(calibration.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(forwards.load(), 0);
 }
 
 TEST(MsboEdgeTest, EmptyRegistrySignalsNewModel) {
