@@ -23,8 +23,8 @@ std::vector<int> Msbi::Round(const std::vector<tensor::Tensor>& window,
                              const std::vector<int>& candidates, double r,
                              int* invocations) const {
   // Candidates are independent: each runs its own seeded DriftInspector
-  // over its own profile (distinct VAE/state per model, so concurrent
-  // Observe calls never share mutable layer caches). Per-candidate
+  // over its own profile (encoding is const, so concurrent Observe calls
+  // share no mutable state). Per-candidate
   // verdicts land in fixed slots and fold in candidate order below, so
   // survivors and invocation counts match the serial sweep exactly.
   struct CandidateResult {

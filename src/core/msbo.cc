@@ -36,9 +36,9 @@ Result<MsboCalibration> CalibrateMsbo(
   // scores[j][i][f]: ensemble j's Brier on frame f of sample S_Ti, for
   // every foreign pair i != j — or, in a single-model registry, the lone
   // model on its own sample. Each pair is scored once; ensembles score in
-  // parallel (each registry entry owns its members, as in Select), and
-  // every aggregate below folds in the serial order on this thread, so
-  // the calibration is bit-identical at every thread count.
+  // parallel (inference is const, as in Select), and every aggregate
+  // below folds in the serial order on this thread, so the calibration is
+  // bit-identical at every thread count.
   using Scores = std::vector<std::vector<double>>;
   std::vector<Scores> scores(static_cast<size_t>(m),
                              Scores(static_cast<size_t>(m)));
@@ -154,8 +154,8 @@ Result<Selection> Msbo::Select(const std::vector<LabeledFrame>& window) const {
 
   Selection selection;
   selection.frames_examined = limit;
-  // Candidate models score independently (each ensemble owns its model
-  // state); the argmin folds in registry order afterwards, so the winner
+  // Candidate models score independently (inference is const and stores
+  // nothing); the argmin folds in registry order afterwards, so the winner
   // and tie-breaks match the serial sweep.
   std::vector<double> briers(static_cast<size_t>(registry_->size()), 0.0);
   runtime::ParallelFor(

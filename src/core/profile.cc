@@ -31,12 +31,6 @@ DistributionProfile::DistributionProfile(std::string name,
   }
 }
 
-std::unique_ptr<DistributionProfile> DistributionProfile::Clone() const {
-  return std::make_unique<DistributionProfile>(
-      name_, std::shared_ptr<vae::Vae>(vae_->Clone()), sigma_, stats_weight_,
-      stats_mean_, stats_scale_);
-}
-
 std::vector<float> DistributionProfile::Augment(
     std::vector<float> latent, const tensor::Tensor& pixels) const {
   if (stats_weight_ == 0.0) return latent;

@@ -61,7 +61,9 @@ class DistributionProfile {
   const std::string& name() const { return name_; }
   /// The reference sample with precomputed scores.
   const PointSet& sigma() const { return sigma_; }
-  /// The VAE (non-const: encoding runs Forward on cached buffers).
+  /// The VAE. Encoding through it is const and thread-safe; the pointer is
+  /// mutable only so that serialisation can read Params(). No one writes
+  /// to a VAE once its profile is in a registry.
   vae::Vae* vae() const { return vae_.get(); }
 
   /// Encodes a frame to its deterministic scoring embedding: posterior
@@ -75,11 +77,6 @@ class DistributionProfile {
   /// the precomputed A_i and the conformal p-values are exactly uniform.
   std::vector<float> EncodeSampled(const tensor::Tensor& pixels,
                                    stats::Rng* rng) const;
-
-  /// Deep copy: clones the VAE (same weights, fresh caches) and copies the
-  /// point set and statistics, so the clone can score frames on another
-  /// thread while this instance keeps serving its own stream.
-  std::unique_ptr<DistributionProfile> Clone() const;
 
  private:
   // Appends weighted global statistics to a latent vector.

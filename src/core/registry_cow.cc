@@ -1,86 +1,23 @@
 #include "core/registry_cow.h"
 
-#include <map>
 #include <utility>
 
 namespace vdrift::select {
-
-namespace {
-
-// Clones a classifier once per distinct source object, so aliases inside
-// one entry (ensemble member doubling as the deployed count model) stay
-// aliases in the clone.
-class ClassifierCloner {
- public:
-  Result<std::shared_ptr<nn::ProbabilisticClassifier>> CloneOf(
-      const std::shared_ptr<nn::ProbabilisticClassifier>& model) {
-    if (model == nullptr) {
-      return std::shared_ptr<nn::ProbabilisticClassifier>();
-    }
-    auto it = cloned_.find(model.get());
-    if (it != cloned_.end()) return it->second;
-    std::shared_ptr<nn::ProbabilisticClassifier> clone = model->Clone();
-    if (clone == nullptr) {
-      return Status::Unimplemented(
-          "model does not support cloning; cannot share it across streams");
-    }
-    cloned_[model.get()] = clone;
-    return clone;
-  }
-
- private:
-  std::map<const nn::ProbabilisticClassifier*,
-           std::shared_ptr<nn::ProbabilisticClassifier>>
-      cloned_;
-};
-
-}  // namespace
-
-Result<ModelEntry> CloneModelEntry(const ModelEntry& entry) {
-  ModelEntry clone;
-  clone.name = entry.name;
-  if (entry.profile != nullptr) {
-    clone.profile = std::shared_ptr<conformal::DistributionProfile>(
-        entry.profile->Clone());
-  }
-  ClassifierCloner cloner;
-  if (entry.ensemble != nullptr) {
-    std::vector<std::shared_ptr<nn::ProbabilisticClassifier>> members;
-    members.reserve(static_cast<size_t>(entry.ensemble->size()));
-    for (int i = 0; i < entry.ensemble->size(); ++i) {
-      VDRIFT_ASSIGN_OR_RETURN(std::shared_ptr<nn::ProbabilisticClassifier> m,
-                              cloner.CloneOf(entry.ensemble->member(i)));
-      members.push_back(std::move(m));
-    }
-    VDRIFT_ASSIGN_OR_RETURN(DeepEnsemble ensemble,
-                            DeepEnsemble::Make(std::move(members)));
-    clone.ensemble = std::make_shared<DeepEnsemble>(std::move(ensemble));
-  }
-  VDRIFT_ASSIGN_OR_RETURN(clone.count_model,
-                          cloner.CloneOf(entry.count_model));
-  VDRIFT_ASSIGN_OR_RETURN(clone.predicate_model,
-                          cloner.CloneOf(entry.predicate_model));
-  return clone;
-}
 
 CowModelRegistry::Snapshot CowModelRegistry::TakeSnapshot() const {
   MutexLock lock(&mutex_);
   return models_;
 }
 
-Result<bool> CowModelRegistry::Publish(
+bool CowModelRegistry::Publish(
     const ModelEntry& entry,
     const std::vector<LabeledFrame>& calibration_sample) {
-  // Clone outside the lock (cloning a model is the expensive part); the
-  // name check re-runs under the lock so two racing publishers of the
-  // same name still resolve first-writer-wins.
-  VDRIFT_ASSIGN_OR_RETURN(ModelEntry clone, CloneModelEntry(entry));
   MutexLock lock(&mutex_);
   for (const PublishedModel& published : *models_) {
     if (published.entry.name == entry.name) return false;
   }
   auto next = std::make_shared<Models>(*models_);
-  next->push_back(PublishedModel{std::move(clone), calibration_sample});
+  next->push_back(PublishedModel{entry, calibration_sample});
   models_ = std::move(next);  // the publication point
   return true;
 }

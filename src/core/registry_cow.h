@@ -5,25 +5,11 @@
 #include <string>
 #include <vector>
 
-#include "common/result.h"
 #include "common/sync.h"
 #include "core/ensemble.h"
 #include "core/registry.h"
 
 namespace vdrift::select {
-
-/// \brief Deep-copies a registry entry: profile (VAE + point set),
-/// ensemble members, and query models, sharing no mutable state with the
-/// source.
-///
-/// NN layers cache forward activations, so two threads must never execute
-/// the same model object — every consumer of a shared/published entry
-/// clones it first. Aliasing inside the entry is preserved: when the count
-/// or predicate model is one of the ensemble's members (the provisioning
-/// path deploys member 0 as the count model), the clone aliases its own
-/// cloned member the same way. kUnimplemented when any contained model
-/// does not support cloning (e.g. a test stub).
-Result<ModelEntry> CloneModelEntry(const ModelEntry& entry);
 
 /// \brief One model published into the fleet-shared registry: the entry
 /// plus the labeled calibration sample adopting streams need to extend
@@ -44,10 +30,10 @@ struct PublishedModel {
 /// state. Publication order is append order, so every consumer that
 /// iterates a snapshot adopts models in the same deterministic order.
 ///
-/// Entries stored here are never executed directly (models cache forward
-/// state and are not thread-safe); consumers CloneModelEntry what they
-/// adopt. Publish deep-copies the caller's entry for the same reason, so
-/// the caller keeps exclusive use of its own instance.
+/// An entry holds shared pointers, so publishing and adopting copy no
+/// model: the publisher and every adopter execute the same objects.
+/// Inference is const and stores nothing, and no model is trained once it
+/// is in a registry, so concurrent readers need no lock and no replica.
 class CowModelRegistry {
  public:
   CowModelRegistry() : models_(std::make_shared<Models>()) {}
@@ -62,12 +48,11 @@ class CowModelRegistry {
   /// publications do not mutate it.
   Snapshot TakeSnapshot() const;
 
-  /// Deep-copies `entry` and appends it with its calibration sample.
+  /// Appends `entry` (sharing its models) with its calibration sample.
   /// First-writer-wins by name: returns false (and publishes nothing) when
-  /// a model of the same name is already published. kUnimplemented when
-  /// the entry cannot be cloned.
-  Result<bool> Publish(const ModelEntry& entry,
-                       const std::vector<LabeledFrame>& calibration_sample);
+  /// a model of the same name is already published.
+  bool Publish(const ModelEntry& entry,
+               const std::vector<LabeledFrame>& calibration_sample);
 
   /// Index of the published model with this name in the current snapshot,
   /// or -1.

@@ -5,10 +5,10 @@
 #include <memory>
 
 #include "common/logging.h"
+#include "nn/dropout.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
-#include "nn/serialize.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
 #include "vae/vae.h"
@@ -36,14 +36,9 @@ ImageClassifier::ImageClassifier(const ClassifierConfig& config,
   net_.Add<nn::ReLU>();
   net_.Add<nn::Flatten>();
   if (config.dropout_rate > 0.0) {
-    dropout_ =
-        net_.Add<nn::Dropout>(config.dropout_rate, dropout_rng_.get());
+    net_.Add<nn::Dropout>(config.dropout_rate, dropout_rng_.get());
   }
   net_.Add<nn::Linear>(2 * f * s4 * s4, config.num_classes, rng);
-}
-
-void ImageClassifier::SetDropoutTraining(bool training) {
-  if (dropout_ != nullptr) dropout_->set_training(training);
 }
 
 Result<std::vector<double>> ImageClassifier::Train(
@@ -60,7 +55,6 @@ Result<std::vector<double>> ImageClassifier::Train(
       return Status::OutOfRange("label outside [0, num_classes)");
     }
   }
-  SetDropoutTraining(true);
   nn::Adam optimizer(net_.Params(), train_config.learning_rate);
   std::vector<int> order(frames.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
@@ -87,7 +81,6 @@ Result<std::vector<double>> ImageClassifier::Train(
       Tensor logits = net_.Forward(batch);
       nn::LossResult loss = nn::SoftmaxCrossEntropy(logits, batch_labels);
       if (!std::isfinite(loss.loss)) {
-        SetDropoutTraining(false);
         return Status::Internal(
             "classifier training loss became non-finite at epoch " +
             std::to_string(epoch));
@@ -103,18 +96,16 @@ Result<std::vector<double>> ImageClassifier::Train(
         .Set(epoch_losses.back());
     obs::Global().GetCounter("vdrift.train.classifier.epochs").Increment();
   }
-  SetDropoutTraining(false);
   return epoch_losses;
 }
 
-Tensor ImageClassifier::ForwardBatch(const Tensor& batch) {
-  return net_.Forward(batch);
+Tensor ImageClassifier::ForwardBatch(const Tensor& batch) const {
+  return net_.Infer(batch);
 }
 
-std::vector<float> ImageClassifier::PredictProba(const Tensor& frame) {
-  SetDropoutTraining(false);
+std::vector<float> ImageClassifier::PredictProba(const Tensor& frame) const {
   Tensor batch = vae::StackFrames({frame});
-  Tensor probs = nn::Softmax(net_.Forward(batch));
+  Tensor probs = nn::Softmax(net_.Infer(batch));
   return std::vector<float>(probs.data(), probs.data() + probs.size());
 }
 
@@ -122,42 +113,26 @@ std::vector<float> ImageClassifier::PredictProbaMcDropout(const Tensor& frame,
                                                           int passes) {
   // vdrift-lint: allow(no-data-dependent-check): API precondition
   VDRIFT_CHECK(passes >= 1);
-  if (dropout_ == nullptr) return PredictProba(frame);
-  SetDropoutTraining(true);
+  if (config_.dropout_rate <= 0.0) return PredictProba(frame);
   Tensor batch = vae::StackFrames({frame});
   std::vector<float> mixture(static_cast<size_t>(config_.num_classes), 0.0f);
   for (int pass = 0; pass < passes; ++pass) {
     Tensor probs = nn::Softmax(net_.Forward(batch));
     for (size_t i = 0; i < mixture.size(); ++i) mixture[i] += probs[static_cast<int64_t>(i)];
   }
-  SetDropoutTraining(false);
   float inv = 1.0f / static_cast<float>(passes);
   for (float& v : mixture) v *= inv;
   return mixture;
 }
 
-int ImageClassifier::Predict(const Tensor& frame) {
+int ImageClassifier::Predict(const Tensor& frame) const {
   std::vector<float> probs = PredictProba(frame);
   return static_cast<int>(std::max_element(probs.begin(), probs.end()) -
                           probs.begin());
 }
 
-std::shared_ptr<nn::ProbabilisticClassifier> ImageClassifier::Clone() const {
-  // Rebuild the architecture with a throwaway RNG (every weight is
-  // overwritten by the copy below), then transplant the parameters.
-  stats::Rng init_rng(0);
-  auto clone = std::make_shared<ImageClassifier>(config_, &init_rng);
-  // CopyParameters reads through Layer::Params(), which is non-const on
-  // the Layer interface; the source network is not mutated.
-  ImageClassifier* self = const_cast<ImageClassifier*>(this);
-  Status copied = nn::CopyParameters(&self->net_, clone->net());
-  // vdrift-lint: allow(no-data-dependent-check): same-architecture nets
-  VDRIFT_CHECK(copied.ok()) << copied.ToString();
-  return clone;
-}
-
 double ImageClassifier::Accuracy(const std::vector<Tensor>& frames,
-                                 const std::vector<int>& labels) {
+                                 const std::vector<int>& labels) const {
   // vdrift-lint: allow(no-data-dependent-check): caller-size contract
   VDRIFT_CHECK(frames.size() == labels.size());
   if (frames.empty()) return 0.0;

@@ -6,7 +6,6 @@
 
 #include "common/result.h"
 #include "nn/classifier.h"
-#include "nn/dropout.h"
 #include "nn/sequential.h"
 #include "stats/rng.h"
 #include "tensor/tensor.h"
@@ -54,38 +53,30 @@ class ImageClassifier : public nn::ProbabilisticClassifier {
                                     const ClassifierTrainConfig& train_config,
                                     stats::Rng* rng);
 
-  std::vector<float> PredictProba(const tensor::Tensor& frame) override;
-  int Predict(const tensor::Tensor& frame) override;
+  std::vector<float> PredictProba(const tensor::Tensor& frame) const override;
+  int Predict(const tensor::Tensor& frame) const override;
   int num_classes() const override { return config_.num_classes; }
 
-  /// Deep copy: same architecture and parameters, fresh forward-pass
-  /// caches and dropout RNG — safe to run on another thread.
-  std::shared_ptr<nn::ProbabilisticClassifier> Clone() const override;
-
   /// Monte-Carlo-dropout predictive distribution: averages `passes`
-  /// stochastic forward passes with dropout active. Requires
-  /// config.dropout_rate > 0; with rate 0 it equals PredictProba.
+  /// stochastic training-tape passes, so dropout samples a mask each
+  /// time. With config.dropout_rate == 0 it equals PredictProba.
   std::vector<float> PredictProbaMcDropout(const tensor::Tensor& frame,
                                            int passes);
 
   /// Batched logits for evaluation ([N, K]).
-  tensor::Tensor ForwardBatch(const tensor::Tensor& batch);
+  tensor::Tensor ForwardBatch(const tensor::Tensor& batch) const;
 
   /// Fraction of frames whose argmax prediction matches the label.
   double Accuracy(const std::vector<tensor::Tensor>& frames,
-                  const std::vector<int>& labels);
+                  const std::vector<int>& labels) const;
 
   const ClassifierConfig& config() const { return config_; }
-  /// The underlying network (for parameter copying in tests).
+  /// The underlying network (parameter serialisation and tests).
   nn::Sequential* net() { return &net_; }
 
  private:
-  // Toggles train/eval mode on any dropout layers.
-  void SetDropoutTraining(bool training);
-
   ClassifierConfig config_;
   nn::Sequential net_;
-  nn::Dropout* dropout_ = nullptr;  // owned by net_
   // Heap-held so the Dropout layer's pointer to it survives moves.
   std::unique_ptr<stats::Rng> dropout_rng_;
 };

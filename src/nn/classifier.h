@@ -1,7 +1,6 @@
 #ifndef VDRIFT_NN_CLASSIFIER_H_
 #define VDRIFT_NN_CLASSIFIER_H_
 
-#include <memory>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -12,30 +11,22 @@ namespace vdrift::nn {
 ///
 /// The model-selection layer (MSBO's deep ensembles, the query models in
 /// the registry) works against this interface so it stays independent of
-/// the concrete network architecture.
+/// the concrete network architecture. Predictions are const and store
+/// nothing, so one classifier object serves any number of threads and
+/// every stream of a fleet shares the published instance.
 class ProbabilisticClassifier {
  public:
   virtual ~ProbabilisticClassifier() = default;
 
   /// Class probabilities for one frame ([C, H, W]); sums to 1.
-  virtual std::vector<float> PredictProba(const tensor::Tensor& frame) = 0;
+  virtual std::vector<float> PredictProba(
+      const tensor::Tensor& frame) const = 0;
 
   /// Argmax class for one frame.
-  virtual int Predict(const tensor::Tensor& frame) = 0;
+  virtual int Predict(const tensor::Tensor& frame) const = 0;
 
   /// Number of classes K.
   virtual int num_classes() const = 0;
-
-  /// \brief A deep copy with identical parameters, sharing no mutable
-  /// state with this instance.
-  ///
-  /// Layers cache forward activations, so two threads must never run the
-  /// same classifier object concurrently — the fleet clones every model
-  /// per stream instead. Returns nullptr when the concrete type does not
-  /// support cloning (callers surface that as a Status, never a crash).
-  virtual std::shared_ptr<ProbabilisticClassifier> Clone() const {
-    return nullptr;
-  }
 };
 
 }  // namespace vdrift::nn

@@ -13,9 +13,9 @@ Dropout::Dropout(double rate, stats::Rng* rng) : rate_(rate), rng_(rng) {
 }
 
 tensor::Tensor Dropout::Forward(const tensor::Tensor& input) {
-  if (!training_ || rate_ == 0.0) {
+  if (rate_ == 0.0) {
     mask_ = tensor::Tensor();
-    return input;
+    return Infer(input);
   }
   tensor::Tensor out = input;
   mask_ = tensor::Tensor(input.shape());

@@ -11,9 +11,9 @@ namespace vdrift::nn {
 
 /// \brief Inverted dropout.
 ///
-/// During training each activation is zeroed with probability `rate` and
-/// survivors are scaled by 1/(1-rate); in eval mode the layer is the
-/// identity. Provided both as a regulariser and as the substrate for
+/// Forward, the training tape, zeroes each activation with probability
+/// `rate` and scales survivors by 1/(1-rate); Infer is the identity.
+/// Provided both as a regulariser and as the substrate for
 /// Monte-Carlo-dropout uncertainty — the Bayesian-approximation
 /// alternative the paper's related work cites ([18] Gal & Ghahramani)
 /// before arguing for deep ensembles.
@@ -22,20 +22,20 @@ class Dropout : public Layer {
   /// `rng` must outlive the layer.
   Dropout(double rate, stats::Rng* rng);
 
+  tensor::Tensor Infer(const tensor::Tensor& input) const override {
+    return input;
+  }
+  /// Samples a fresh mask per call (when rate > 0); MC dropout runs
+  /// Forward at inference time.
   tensor::Tensor Forward(const tensor::Tensor& input) override;
   tensor::Tensor Backward(const tensor::Tensor& grad_output) override;
   std::string name() const override { return "Dropout"; }
 
-  /// Training mode samples a fresh mask per Forward; eval mode is the
-  /// identity. Keep training mode on at inference time for MC dropout.
-  void set_training(bool training) { training_ = training; }
-  bool training() const { return training_; }
   double rate() const { return rate_; }
 
  private:
   double rate_;
   stats::Rng* rng_;
-  bool training_ = true;
   tensor::Tensor mask_;
 };
 

@@ -22,11 +22,17 @@ struct Parameter {
 
 /// \brief Base class for differentiable layers.
 ///
-/// The stack uses explicit, caller-driven backpropagation rather than a
-/// taped autograd: Forward caches whatever the layer needs, Backward maps
-/// the gradient w.r.t. the output to the gradient w.r.t. the input and
-/// *accumulates* parameter gradients. A training step is therefore:
+/// Inference and training share one forward computation. Infer is const:
+/// it takes any batch and stores nothing, so one layer object may run
+/// Infer on many threads at once. Forward is the training tape: it calls
+/// Infer and keeps what Backward needs. The stack uses explicit,
+/// caller-driven backpropagation rather than a taped autograd: Backward
+/// maps the gradient w.r.t. the output of the last Forward to the
+/// gradient w.r.t. its input and *accumulates* parameter gradients. A
+/// training step is therefore:
 /// ZeroGrad -> Forward -> loss -> Backward (in reverse) -> optimizer step.
+/// Forward and Backward are single-threaded per object; Infer calls in
+/// between leave the tape alone.
 ///
 /// Convention: 2-D activations are [batch, features]; 4-D activations are
 /// [batch, channels, height, width].
@@ -34,7 +40,10 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Runs the layer on a batch, caching state for Backward.
+  /// Runs the layer on a batch without touching any state.
+  virtual tensor::Tensor Infer(const tensor::Tensor& input) const = 0;
+
+  /// Runs the layer on a batch (as Infer), caching state for Backward.
   virtual tensor::Tensor Forward(const tensor::Tensor& input) = 0;
 
   /// Given dLoss/dOutput, accumulates parameter gradients and returns

@@ -40,7 +40,7 @@ Linear::Linear(int in_features, int out_features, stats::Rng* rng)
   HeInit(&weight_.value, in_features, rng);
 }
 
-Tensor Linear::Forward(const Tensor& input) {
+Tensor Linear::Infer(const Tensor& input) const {
   // vdrift-lint: allow(no-data-dependent-check): layer shape contract
   VDRIFT_CHECK(input.shape().ndim() == 2 &&
                input.shape().dim(1) == in_features_)
@@ -56,7 +56,6 @@ Tensor Linear::Forward(const Tensor& input) {
           (batch * in_features_ +
            static_cast<int64_t>(out_features_) * in_features_ +
            out_features_ + batch * out_features_));
-  cached_input_ = input;
   Tensor out = tensor::MatmulTransposedB(input, weight_.value);
   int64_t n = out.shape().dim(0);
   float* po = out.data();
@@ -71,6 +70,11 @@ Tensor Linear::Forward(const Tensor& input) {
                 }
               });
   return out;
+}
+
+Tensor Linear::Forward(const Tensor& input) {
+  cached_input_ = input;
+  return Infer(input);
 }
 
 Tensor Linear::Backward(const Tensor& grad_output) {
@@ -117,20 +121,20 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, int stride,
   HeInit(&weight_.value, in_channels * kernel * kernel, rng);
 }
 
-Tensor Conv2d::Forward(const Tensor& input) {
+Tensor Conv2d::Infer(const Tensor& input) const {
   // vdrift-lint: allow(no-data-dependent-check): layer shape contract
   VDRIFT_CHECK(input.shape().ndim() == 4 &&
                input.shape().dim(1) == in_channels_)
       << "Conv2d expects [N, " << in_channels_ << ", H, W], got "
       << input.shape().ToString();
   int64_t n = input.shape().dim(0);
-  in_h_ = static_cast<int>(input.shape().dim(2));
-  in_w_ = static_cast<int>(input.shape().dim(3));
-  out_h_ = ConvOutDim(in_h_, kernel_, stride_, pad_);
-  out_w_ = ConvOutDim(in_w_, kernel_, stride_, pad_);
+  int out_h = ConvOutDim(static_cast<int>(input.shape().dim(2)), kernel_,
+                         stride_, pad_);
+  int out_w = ConvOutDim(static_cast<int>(input.shape().dim(3)), kernel_,
+                         stride_, pad_);
   // vdrift-lint: allow(no-data-dependent-check): layer shape contract
-  VDRIFT_CHECK(out_h_ > 0 && out_w_ > 0);
-  int64_t out_plane = static_cast<int64_t>(out_h_) * out_w_;
+  VDRIFT_CHECK(out_h > 0 && out_w > 0);
+  int64_t out_plane = static_cast<int64_t>(out_h) * out_w;
   int64_t patch = static_cast<int64_t>(in_channels_) * kernel_ * kernel_;
   // Per sample: implicit GEMM (2 * out_c * patch * out_plane) + bias add.
   VDRIFT_OP_PROBE(
@@ -140,23 +144,31 @@ Tensor Conv2d::Forward(const Tensor& input) {
       static_cast<int64_t>(sizeof(float)) *
           (input.size() + out_channels_ * patch + out_channels_ +
            n * out_channels_ * out_plane));
-  cached_input_ = input;
   return tensor::Conv2dForward(input, weight_.value, bias_.value, kernel_,
                                stride_, pad_);
 }
 
+Tensor Conv2d::Forward(const Tensor& input) {
+  cached_input_ = input;
+  return Infer(input);
+}
+
 Tensor Conv2d::Backward(const Tensor& grad_output) {
   int64_t n = grad_output.shape().dim(0);
-  // vdrift-lint: allow(no-data-dependent-check): layer shape contract
-  VDRIFT_CHECK(grad_output.shape().ndim() == 4 &&
-               grad_output.shape().dim(1) == out_channels_ &&
-               grad_output.shape().dim(2) == out_h_ &&
-               grad_output.shape().dim(3) == out_w_);
   // vdrift-lint: allow(no-data-dependent-check): fwd/bwd pairing contract
   VDRIFT_CHECK(cached_input_.shape().ndim() == 4 &&
                n == cached_input_.shape().dim(0))
       << "Backward batch size mismatch";
-  int64_t plane = static_cast<int64_t>(out_h_) * out_w_;
+  int out_h = ConvOutDim(static_cast<int>(cached_input_.shape().dim(2)),
+                         kernel_, stride_, pad_);
+  int out_w = ConvOutDim(static_cast<int>(cached_input_.shape().dim(3)),
+                         kernel_, stride_, pad_);
+  // vdrift-lint: allow(no-data-dependent-check): layer shape contract
+  VDRIFT_CHECK(grad_output.shape().ndim() == 4 &&
+               grad_output.shape().dim(1) == out_channels_ &&
+               grad_output.shape().dim(2) == out_h &&
+               grad_output.shape().dim(3) == out_w);
+  int64_t plane = static_cast<int64_t>(out_h) * out_w;
   int64_t patch = static_cast<int64_t>(in_channels_) * kernel_ * kernel_;
   // Per sample: the dW and dX products (2 * out_c * patch * out_plane
   // each), the bias row sums, and one accumulate per tap and output pixel
@@ -190,20 +202,17 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-Tensor ReLU::Forward(const Tensor& input) {
+Tensor ReLU::Infer(const Tensor& input) const {
   VDRIFT_OP_PROBE("nn", "relu_forward", input.size(),
                   ElementwiseBytes(input.size()));
   Tensor out(input.shape());
-  mask_ = Tensor(input.shape());
   const float* px = input.data();
   float* py = out.data();
-  float* pm = mask_.data();
-  // y = x > 0 ? x : +0 and mask = x > 0 ? 1 : 0, four lanes per compare
-  // and select: NaN and -0 map to +0 with mask 0. A branch per element
-  // neither vectorises nor predicts on conv outputs.
+  // y = x > 0 ? x : +0, four lanes per compare and select: NaN and -0 map
+  // to +0. A branch per element neither vectorises nor predicts on conv
+  // outputs.
   typedef float Float4 __attribute__((vector_size(16)));
   typedef int32_t Int4 __attribute__((vector_size(16)));
-  const Int4 one = Int4{} + 0x3f800000;  // the bits of 1.0f
   ParallelFor(0, out.size(), kActivationGrain,
               [&](int64_t begin, int64_t end) {
                 int64_t i = begin;
@@ -214,24 +223,34 @@ Tensor ReLU::Forward(const Tensor& input) {
                   std::memcpy(&bits, px + i, sizeof(bits));
                   Int4 positive = x > Float4{};  // all ones or all zeros
                   Int4 y = bits & positive;
-                  Int4 m = one & positive;
                   std::memcpy(py + i, &y, sizeof(y));
-                  std::memcpy(pm + i, &m, sizeof(m));
                 }
-                for (; i < end; ++i) {
-                  bool positive = px[i] > 0.0f;
-                  py[i] = positive ? px[i] : 0.0f;
-                  pm[i] = positive ? 1.0f : 0.0f;
-                }
+                for (; i < end; ++i) py[i] = px[i] > 0.0f ? px[i] : 0.0f;
               });
   return out;
 }
 
-Tensor ReLU::Backward(const Tensor& grad_output) {
-  return tensor::Mul(grad_output, mask_);
+Tensor ReLU::Forward(const Tensor& input) {
+  cached_input_ = input;
+  return Infer(input);
 }
 
-Tensor Sigmoid::Forward(const Tensor& input) {
+Tensor ReLU::Backward(const Tensor& grad_output) {
+  // dx = dy * (x > 0 ? 1 : 0), the compare Infer makes, so NaN and -0
+  // inputs pass no gradient.
+  Tensor grad = grad_output;
+  float* pg = grad.data();
+  const float* px = cached_input_.data();
+  ParallelFor(0, grad.size(), kActivationGrain,
+              [&](int64_t begin, int64_t end) {
+                for (int64_t i = begin; i < end; ++i) {
+                  pg[i] *= px[i] > 0.0f ? 1.0f : 0.0f;
+                }
+              });
+  return grad;
+}
+
+Tensor Sigmoid::Infer(const Tensor& input) const {
   VDRIFT_OP_PROBE("nn", "sigmoid_forward", input.size(),
                   ElementwiseBytes(input.size()));
   Tensor out = input;
@@ -242,8 +261,12 @@ Tensor Sigmoid::Forward(const Tensor& input) {
                   po[i] = 1.0f / (1.0f + std::exp(-po[i]));
                 }
               });
-  cached_output_ = out;
   return out;
+}
+
+Tensor Sigmoid::Forward(const Tensor& input) {
+  cached_output_ = Infer(input);
+  return cached_output_;
 }
 
 Tensor Sigmoid::Backward(const Tensor& grad_output) {
@@ -259,7 +282,7 @@ Tensor Sigmoid::Backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor Tanh::Forward(const Tensor& input) {
+Tensor Tanh::Infer(const Tensor& input) const {
   VDRIFT_OP_PROBE("nn", "tanh_forward", input.size(),
                   ElementwiseBytes(input.size()));
   Tensor out = input;
@@ -270,8 +293,12 @@ Tensor Tanh::Forward(const Tensor& input) {
                   po[i] = std::tanh(po[i]);
                 }
               });
-  cached_output_ = out;
   return out;
+}
+
+Tensor Tanh::Forward(const Tensor& input) {
+  cached_output_ = Infer(input);
+  return cached_output_;
 }
 
 Tensor Tanh::Backward(const Tensor& grad_output) {
@@ -287,26 +314,29 @@ Tensor Tanh::Backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor Flatten::Forward(const Tensor& input) {
+Tensor Flatten::Infer(const Tensor& input) const {
   // vdrift-lint: allow(no-data-dependent-check): layer shape contract
   VDRIFT_CHECK(input.shape().ndim() >= 2);
-  cached_shape_ = input.shape();
   int64_t n = input.shape().dim(0);
   int64_t features = input.shape().NumElements() / n;
   return input.Reshaped(Shape{n, features});
+}
+
+Tensor Flatten::Forward(const Tensor& input) {
+  cached_shape_ = input.shape();
+  return Infer(input);
 }
 
 Tensor Flatten::Backward(const Tensor& grad_output) {
   return grad_output.Reshaped(cached_shape_);
 }
 
-Tensor Upsample2x::Forward(const Tensor& input) {
+Tensor Upsample2x::Infer(const Tensor& input) const {
   // vdrift-lint: allow(no-data-dependent-check): layer shape contract
   VDRIFT_CHECK(input.shape().ndim() == 4);
   // Replication only: 0 FLOPs, input read once + 4x output written.
   VDRIFT_OP_PROBE("nn", "upsample2x_forward", 0,
                   static_cast<int64_t>(sizeof(float)) * 5 * input.size());
-  cached_shape_ = input.shape();
   int64_t n = input.shape().dim(0);
   int64_t c = input.shape().dim(1);
   int64_t h = input.shape().dim(2);
@@ -331,6 +361,11 @@ Tensor Upsample2x::Forward(const Tensor& input) {
                 }
               });
   return out;
+}
+
+Tensor Upsample2x::Forward(const Tensor& input) {
+  cached_shape_ = input.shape();
+  return Infer(input);
 }
 
 Tensor Upsample2x::Backward(const Tensor& grad_output) {

@@ -18,6 +18,7 @@ class Linear : public Layer {
  public:
   Linear(int in_features, int out_features, stats::Rng* rng);
 
+  tensor::Tensor Infer(const tensor::Tensor& input) const override;
   tensor::Tensor Forward(const tensor::Tensor& input) override;
   tensor::Tensor Backward(const tensor::Tensor& grad_output) override;
   std::vector<Parameter*> Params() override { return {&weight_, &bias_}; }
@@ -45,6 +46,7 @@ class Conv2d : public Layer {
   Conv2d(int in_channels, int out_channels, int kernel, int stride, int pad,
          stats::Rng* rng);
 
+  tensor::Tensor Infer(const tensor::Tensor& input) const override;
   tensor::Tensor Forward(const tensor::Tensor& input) override;
   tensor::Tensor Backward(const tensor::Tensor& grad_output) override;
   std::vector<Parameter*> Params() override { return {&weight_, &bias_}; }
@@ -58,30 +60,28 @@ class Conv2d : public Layer {
   int pad_;
   Parameter weight_;
   Parameter bias_;
-  // The input, from which Backward builds each sample's padded copy, plus
-  // its geometry. Caching the padded copies that Forward builds instead
-  // would hold them in every model instance between calls.
+  // The input, from which Backward builds each sample's padded copy and
+  // reads the geometry. Caching the padded copies that Forward builds
+  // instead would hold them in every model instance between calls.
   tensor::Tensor cached_input_;
-  int in_h_ = 0;
-  int in_w_ = 0;
-  int out_h_ = 0;
-  int out_w_ = 0;
 };
 
 /// \brief Elementwise ReLU.
 class ReLU : public Layer {
  public:
+  tensor::Tensor Infer(const tensor::Tensor& input) const override;
   tensor::Tensor Forward(const tensor::Tensor& input) override;
   tensor::Tensor Backward(const tensor::Tensor& grad_output) override;
   std::string name() const override { return "ReLU"; }
 
  private:
-  tensor::Tensor mask_;
+  tensor::Tensor cached_input_;
 };
 
 /// \brief Elementwise logistic sigmoid.
 class Sigmoid : public Layer {
  public:
+  tensor::Tensor Infer(const tensor::Tensor& input) const override;
   tensor::Tensor Forward(const tensor::Tensor& input) override;
   tensor::Tensor Backward(const tensor::Tensor& grad_output) override;
   std::string name() const override { return "Sigmoid"; }
@@ -93,6 +93,7 @@ class Sigmoid : public Layer {
 /// \brief Elementwise tanh.
 class Tanh : public Layer {
  public:
+  tensor::Tensor Infer(const tensor::Tensor& input) const override;
   tensor::Tensor Forward(const tensor::Tensor& input) override;
   tensor::Tensor Backward(const tensor::Tensor& grad_output) override;
   std::string name() const override { return "Tanh"; }
@@ -104,6 +105,7 @@ class Tanh : public Layer {
 /// \brief Flattens [N, C, H, W] (or any >=2-D) into [N, features].
 class Flatten : public Layer {
  public:
+  tensor::Tensor Infer(const tensor::Tensor& input) const override;
   tensor::Tensor Forward(const tensor::Tensor& input) override;
   tensor::Tensor Backward(const tensor::Tensor& grad_output) override;
   std::string name() const override { return "Flatten"; }
@@ -119,6 +121,7 @@ class Flatten : public Layer {
 /// needing a transposed-convolution kernel.
 class Upsample2x : public Layer {
  public:
+  tensor::Tensor Infer(const tensor::Tensor& input) const override;
   tensor::Tensor Forward(const tensor::Tensor& input) override;
   tensor::Tensor Backward(const tensor::Tensor& grad_output) override;
   std::string name() const override { return "Upsample2x"; }

@@ -2,6 +2,14 @@
 
 namespace vdrift::nn {
 
+tensor::Tensor Sequential::Infer(const tensor::Tensor& input) const {
+  tensor::Tensor x = input;
+  for (const auto& layer : layers_) {
+    x = layer->Infer(x);
+  }
+  return x;
+}
+
 tensor::Tensor Sequential::Forward(const tensor::Tensor& input) {
   tensor::Tensor x = input;
   for (auto& layer : layers_) {

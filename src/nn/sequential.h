@@ -38,6 +38,8 @@ class Sequential : public Layer {
     layers_.push_back(std::move(layer));
   }
 
+  tensor::Tensor Infer(const tensor::Tensor& input) const override;
+  /// Chains every layer's Forward, so each caches its own tape.
   tensor::Tensor Forward(const tensor::Tensor& input) override;
   tensor::Tensor Backward(const tensor::Tensor& grad_output) override;
   std::vector<Parameter*> Params() override;

@@ -51,19 +51,4 @@ Status LoadParameters(Layer* layer, std::istream* in) {
   return Status::OK();
 }
 
-Status CopyParameters(Layer* src, Layer* dst) {
-  std::vector<Parameter*> from = src->Params();
-  std::vector<Parameter*> to = dst->Params();
-  if (from.size() != to.size()) {
-    return Status::InvalidArgument("parameter count mismatch");
-  }
-  for (size_t i = 0; i < from.size(); ++i) {
-    if (from[i]->value.shape() != to[i]->value.shape()) {
-      return Status::InvalidArgument("parameter shape mismatch");
-    }
-    to[i]->value = from[i]->value;
-  }
-  return Status::OK();
-}
-
 }  // namespace vdrift::nn

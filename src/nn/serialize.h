@@ -19,9 +19,6 @@ Status SaveParameters(Layer* layer, std::ostream* out);
 /// must have an identical architecture (same Params() order and shapes).
 Status LoadParameters(Layer* layer, std::istream* in);
 
-/// Copies parameter values from `src` into `dst`; architectures must match.
-Status CopyParameters(Layer* src, Layer* dst);
-
 }  // namespace vdrift::nn
 
 #endif  // VDRIFT_NN_SERIALIZE_H_

@@ -65,8 +65,7 @@ Status DriftFleet::AddBaseModel(
     return Status::FailedPrecondition(
         "base models must be published before any stream is added");
   }
-  VDRIFT_ASSIGN_OR_RETURN(bool accepted, published_.Publish(entry, sample));
-  if (!accepted) {
+  if (!published_.Publish(entry, sample)) {
     return Status::InvalidArgument("base model name already published: " +
                                    entry.name);
   }
@@ -96,6 +95,14 @@ DriftFleet::Shard* DriftFleet::FindShard(const std::string& label) {
   return nullptr;
 }
 
+const select::ModelRegistry* DriftFleet::shard_registry(
+    const std::string& label) const {
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    if (shard->label == label) return shard->registry.get();
+  }
+  return nullptr;
+}
+
 Status DriftFleet::BuildShardPipeline(
     Shard* shard, const std::vector<std::string>& fingerprint) {
   select::CowModelRegistry::Snapshot snapshot = published_.TakeSnapshot();
@@ -116,9 +123,7 @@ Status DriftFleet::BuildShardPipeline(
                               "rebuild shard " +
                               shard->label);
     }
-    VDRIFT_ASSIGN_OR_RETURN(select::ModelEntry clone,
-                            select::CloneModelEntry(found->entry));
-    registry->Add(std::move(clone));
+    registry->Add(found->entry);
     samples.push_back(found->calibration_sample);
   }
   pipeline::PipelineConfig config = options_.pipeline;
@@ -198,7 +203,7 @@ Status DriftFleet::RebuildShard(Shard* shard) {
                            << resumed.ToString();
       } else if (built.code() != StatusCode::kDataLoss) {
         // Missing published models degrade to cold start; anything else
-        // (e.g. an uncloneable entry) is a wiring error worth surfacing.
+        // is a wiring error worth surfacing.
         return built;
       }
     } else {
@@ -208,7 +213,7 @@ Status DriftFleet::RebuildShard(Shard* shard) {
     }
   }
   // Cold start: the shard replays its stream from the beginning against a
-  // fresh replica of its initial models. Its labeled counters keep
+  // fresh registry of its initial models. Its labeled counters keep
   // accumulating (the shared registry outlives the shard), so the books
   // stay monotonic — the report's per-stream metrics restart from the
   // pipeline's cold state.
@@ -263,9 +268,8 @@ Status DriftFleet::QuarantineShard(Shard* shard, const Status& cause) {
 Status DriftFleet::PublishShardModels(Shard* shard) {
   const select::ModelRegistry& registry = *shard->registry;
   const auto& samples = shard->pipeline->calibration_samples();
-  // Incumbents are the shard's own private clones of everything already
-  // published — COW-stored entries must never be executed, and the gate
-  // runs models (supervisor.h).
+  // Incumbents are the entries the shard held at the last barrier, i.e.
+  // everything it adopted or started with.
   const int incumbents_end = shard->synced_entries;
   for (int i = shard->synced_entries; i < registry.size(); ++i) {
     const std::vector<select::LabeledFrame> sample =
@@ -297,9 +301,7 @@ Status DriftFleet::PublishShardModels(Shard* shard) {
                          << verdict.incumbent_accuracy;
       continue;
     }
-    VDRIFT_ASSIGN_OR_RETURN(bool accepted,
-                            published_.Publish(registry.at(i), sample));
-    if (accepted) {
+    if (published_.Publish(registry.at(i), sample)) {
       models_published_ += 1;
       registry_->GetCounter("vdrift.fleet.models_published").Increment();
       lineage_.push_back(
@@ -316,10 +318,8 @@ Status DriftFleet::AdoptPublished(Shard* shard) {
   // deterministic order no matter which stream trained what.
   for (const select::PublishedModel& published : *snapshot) {
     if (shard->registry->FindByName(published.entry.name) >= 0) continue;
-    VDRIFT_ASSIGN_OR_RETURN(select::ModelEntry clone,
-                            select::CloneModelEntry(published.entry));
-    VDRIFT_RETURN_NOT_OK(
-        shard->pipeline->AdoptModel(clone, published.calibration_sample));
+    VDRIFT_RETURN_NOT_OK(shard->pipeline->AdoptModel(
+        published.entry, published.calibration_sample));
     models_adopted_ += 1;
     registry_->GetCounter("vdrift.fleet.models_adopted").Increment();
   }
@@ -673,7 +673,7 @@ Result<FleetReport> DriftFleet::Run() {
     waits_counter.Increment(static_cast<int64_t>(ready.size()));
     active_gauge.Set(static_cast<double>(admitted.size()));
     // One cooperative slice per admitted shard, in parallel. Shards share
-    // no mutable state (private model replicas, thread-safe registry), and
+    // models only through const inference and the registry is thread-safe;
     // cross-stream effects (publication/adoption) happen only at the
     // barrier below — so the outcome is independent of VDRIFT_THREADS.
     runtime::ParallelFor(
@@ -712,7 +712,7 @@ Result<FleetReport> DriftFleet::Run() {
       VDRIFT_RETURN_NOT_OK(AdoptPublished(shard.get()));
     }
     // 4. Checkpoint after adoption so the serialized registry fingerprint
-    //    matches the live replica.
+    //    matches the shard's live registry.
     if (!options_.checkpoint_dir.empty()) {
       for (const std::unique_ptr<Shard>& shard : shards_) {
         if (shard->health.Terminal() || shard->done) continue;

@@ -37,7 +37,7 @@ struct StreamSpec {
 };
 
 /// \brief A deterministic kill-and-restore drill: at the start of round
-/// `round`, the named shard's pipeline and model replica are destroyed and
+/// `round`, the named shard's pipeline and model registry are destroyed and
 /// rebuilt from its last checkpoint, exactly as if that shard had crashed
 /// between rounds. The other shards never notice.
 struct CrashDrill {
@@ -135,12 +135,13 @@ struct FleetReport {
 /// \brief Multi-stream drift-aware serving (ROADMAP item 1).
 ///
 /// Multiplexes N concurrent streams over the deterministic thread pool.
-/// Each stream owns a full DriftAwarePipeline shard — its own deep-cloned
-/// model replica (NN layers cache forward state, so two shards must never
-/// execute the same model object), its own DriftInspector, its own fault
-/// injector — while all shards share one CowModelRegistry: a model trained
-/// for one stream's drift is published at the next round barrier and
-/// becomes selectable by every stream.
+/// Each stream owns a full DriftAwarePipeline shard — its own model
+/// registry, DriftInspector and fault injector — while all shards share one
+/// CowModelRegistry: a model trained for one stream's drift is published at
+/// the next round barrier and becomes selectable by every stream. A shard's
+/// registry holds the published entries themselves, not copies: inference
+/// is const and stores nothing, so shards run the same model objects
+/// concurrently.
 ///
 /// Scheduling is bulk-synchronous: each round admits up to max_concurrent
 /// ready shards, runs one fixed-size slice per shard in parallel
@@ -150,9 +151,9 @@ struct FleetReport {
 ///      (append order = deterministic adoption order),
 ///   2. restore shards whose slice failed (from their last checkpoint) or
 ///      quarantine them once the restart budget is exhausted,
-///   3. adopt every published model each shard is missing (clone first),
+///   3. adopt every published model each shard is missing,
 ///   4. checkpoint every live shard (after adoption, so the registry
-///      fingerprint in the file matches the live replica),
+///      fingerprint in the file matches the live registry),
 ///   5. fold per-stream labeled counters into the unlabeled aggregates
 ///      (sum of {stream=...} series == aggregate, exactly, every round),
 ///      tick the fleet sampler/watchdog, and advance every shard's health
@@ -174,8 +175,8 @@ class DriftFleet {
   ~DriftFleet();
 
   /// Publishes a pre-provisioned base model every stream starts with
-  /// (deep-copied into the shared registry; `sample` is its MSBO
-  /// calibration sample). Call before AddStream.
+  /// (shared, not copied; `sample` is its MSBO calibration sample). Call
+  /// before AddStream.
   Status AddBaseModel(const select::ModelEntry& entry,
                       const std::vector<select::LabeledFrame>& sample);
 
@@ -184,8 +185,8 @@ class DriftFleet {
       const select::ModelRegistry& registry,
       const std::vector<std::vector<select::LabeledFrame>>& samples);
 
-  /// Adds a stream shard: clones every published model into the shard's
-  /// private replica and builds its pipeline. Labels must be unique.
+  /// Adds a stream shard: adds every published entry to the shard's
+  /// registry and builds its pipeline. Labels must be unique.
   Status AddStream(const StreamSpec& spec);
 
   /// Runs every stream to exhaustion (resuming from the fleet manifest
@@ -202,6 +203,8 @@ class DriftFleet {
   }
   /// The shared copy-on-write model registry.
   const select::CowModelRegistry& published() const { return published_; }
+  /// The model registry of the stream labelled `label`, or nullptr.
+  const select::ModelRegistry* shard_registry(const std::string& label) const;
   /// Fleet sampler / watchdog (null unless armed by FleetOptions).
   const std::shared_ptr<obs::MetricsSampler>& sampler() const {
     return sampler_;
@@ -217,7 +220,8 @@ class DriftFleet {
     video::FrameSource* stream = nullptr;
     fault::FaultInjector* injector = nullptr;
     int index = 0;  ///< AddStream order (per-shard seed derivation).
-    /// Private model replica (every entry deep-cloned; never shared).
+    /// The shard's registry: published entries plus the models it trained
+    /// since the last barrier.
     std::unique_ptr<select::ModelRegistry> registry;
     std::unique_ptr<pipeline::DriftAwarePipeline> pipeline;
     /// Model names the shard starts with (cold-start fallback registry).
@@ -241,8 +245,8 @@ class DriftFleet {
   };
 
   Shard* FindShard(const std::string& label);
-  /// Builds a shard pipeline over a fresh replica cloned from the shared
-  /// registry, one entry per fingerprint name, in fingerprint order.
+  /// Builds a shard pipeline over a fresh registry of published entries,
+  /// one per fingerprint name, in fingerprint order.
   Status BuildShardPipeline(Shard* shard,
                             const std::vector<std::string>& fingerprint);
   /// Rebuild from the shard's checkpoint (cold-start from the initial
@@ -258,7 +262,7 @@ class DriftFleet {
   Status QuarantineShard(Shard* shard, const Status& cause);
   /// Barrier step 1: gate + publish models the shard trained this round.
   Status PublishShardModels(Shard* shard);
-  /// Barrier step 3: clone+adopt published models the shard is missing.
+  /// Barrier step 3: adopt published models the shard is missing.
   Status AdoptPublished(Shard* shard);
   /// Barrier step 5: fold labeled counter deltas into the aggregates.
   void AggregateShard(Shard* shard);

@@ -115,11 +115,10 @@ struct GateVerdict {
 /// any non-finite probability output, and holdout accuracy below the best
 /// incumbent minus `options.accuracy_margin`.
 ///
-/// `incumbents` must be the *publishing shard's own private clones* —
-/// executing a model mutates its cached forward state, so COW-stored
-/// entries must never be probed directly (the registry invariant).
-/// Probing the publisher's clones at the serial barrier is safe and
-/// thread-count independent.
+/// `incumbents` are the entries the publishing shard held at the last
+/// barrier. Probing runs const inference only, so these may be the
+/// published objects other shards execute at the same time; the verdict
+/// does not depend on the thread count.
 GateVerdict EvaluatePublication(
     const select::ModelEntry& candidate,
     const std::vector<select::LabeledFrame>& holdout,

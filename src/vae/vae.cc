@@ -59,19 +59,30 @@ Vae::Vae(const VaeConfig& config, stats::Rng* rng) : config_(config) {
   decoder_.Add<Sigmoid>();
 }
 
-void Vae::EncodeBatch(const Tensor& batch, Tensor* mu, Tensor* logvar) {
-  Tensor h = encoder_trunk_.Forward(batch);
-  *mu = fc_mu_->Forward(h);
-  *logvar = fc_logvar_->Forward(h);
-  // Clamp log-variance for numerical stability of exp().
-  for (int64_t i = 0; i < logvar->size(); ++i) {
-    (*logvar)[i] = std::clamp((*logvar)[i], -8.0f, 8.0f);
+namespace {
+
+// Clamps the log-variance head's output for numerical stability of exp().
+Tensor ClampLogvar(Tensor logvar) {
+  for (int64_t i = 0; i < logvar.size(); ++i) {
+    logvar[i] = std::clamp(logvar[i], -8.0f, 8.0f);
   }
+  return logvar;
+}
+
+}  // namespace
+
+void Vae::EncodeBatch(const Tensor& batch, Tensor* mu,
+                      Tensor* logvar) const {
+  Tensor h = encoder_trunk_.Infer(batch);
+  *mu = fc_mu_->Infer(h);
+  *logvar = ClampLogvar(fc_logvar_->Infer(h));
 }
 
 Vae::ForwardResult Vae::Forward(const Tensor& batch, stats::Rng* rng) {
   ForwardResult result;
-  EncodeBatch(batch, &result.mu, &result.logvar);
+  Tensor h = encoder_trunk_.Forward(batch);
+  result.mu = fc_mu_->Forward(h);
+  result.logvar = ClampLogvar(fc_logvar_->Forward(h));
   result.eps = Tensor(result.mu.shape());
   result.z = Tensor(result.mu.shape());
   for (int64_t i = 0; i < result.z.size(); ++i) {
@@ -136,22 +147,6 @@ Vae::Losses Vae::TrainStep(const Tensor& batch, nn::Optimizer* optimizer,
   return losses;
 }
 
-Vae::Losses Vae::Evaluate(const Tensor& batch, stats::Rng* rng) {
-  int64_t n = batch.shape().dim(0);
-  ForwardResult fwd = Forward(batch, rng);
-  nn::LossResult bce = nn::BinaryCrossEntropy(fwd.recon, batch);
-  double kl = 0.0;
-  for (int64_t i = 0; i < fwd.mu.size(); ++i) {
-    float m = fwd.mu[i];
-    float lv = fwd.logvar[i];
-    kl += -0.5 * (1.0 + lv - m * m - std::exp(lv));
-  }
-  Losses losses;
-  losses.reconstruction = bce.loss;
-  losses.kl = config_.kl_weight * kl / static_cast<double>(n);
-  return losses;
-}
-
 namespace {
 
 Tensor AsBatchOfOne(const Tensor& frame) {
@@ -166,14 +161,15 @@ Tensor AsBatchOfOne(const Tensor& frame) {
 
 }  // namespace
 
-std::vector<float> Vae::EncodeMean(const Tensor& frame) {
+std::vector<float> Vae::EncodeMean(const Tensor& frame) const {
   Tensor mu;
   Tensor logvar;
   EncodeBatch(AsBatchOfOne(frame), &mu, &logvar);
   return std::vector<float>(mu.data(), mu.data() + mu.size());
 }
 
-std::vector<float> Vae::EncodeSample(const Tensor& frame, stats::Rng* rng) {
+std::vector<float> Vae::EncodeSample(const Tensor& frame,
+                                     stats::Rng* rng) const {
   Tensor mu;
   Tensor logvar;
   EncodeBatch(AsBatchOfOne(frame), &mu, &logvar);
@@ -186,11 +182,11 @@ std::vector<float> Vae::EncodeSample(const Tensor& frame, stats::Rng* rng) {
   return z;
 }
 
-Tensor Vae::Decode(const std::vector<float>& z) {
+Tensor Vae::Decode(const std::vector<float>& z) const {
   VDRIFT_CHECK(static_cast<int>(z.size()) == config_.latent_dim);
   Tensor zt(Shape{1, config_.latent_dim});
   for (size_t i = 0; i < z.size(); ++i) zt[static_cast<int64_t>(i)] = z[i];
-  Tensor out = decoder_.Forward(zt);
+  Tensor out = decoder_.Infer(zt);
   return out.Reshaped(Shape{out.shape().dim(1), out.shape().dim(2),
                             out.shape().dim(3)});
 }
@@ -201,25 +197,6 @@ std::vector<nn::Parameter*> Vae::Params() {
   for (nn::Parameter* p : fc_logvar_->Params()) params.push_back(p);
   for (nn::Parameter* p : decoder_.Params()) params.push_back(p);
   return params;
-}
-
-std::unique_ptr<Vae> Vae::Clone() const {
-  // Rebuild the architecture with a throwaway RNG (every weight is
-  // overwritten below), then copy the parameter values pairwise — Params()
-  // enumerates both networks' parameters in identical construction order.
-  stats::Rng init_rng(0);
-  auto clone = std::make_unique<Vae>(config_, &init_rng);
-  // Params() is non-const (layers expose mutable parameters); the source
-  // is only read.
-  Vae* self = const_cast<Vae*>(this);
-  std::vector<nn::Parameter*> src = self->Params();
-  std::vector<nn::Parameter*> dst = clone->Params();
-  // vdrift-lint: allow(no-data-dependent-check): same-architecture nets
-  VDRIFT_CHECK(src.size() == dst.size());
-  for (size_t i = 0; i < src.size(); ++i) {
-    dst[i]->value = src[i]->value;
-  }
-  return clone;
 }
 
 Tensor StackFrames(const std::vector<Tensor>& frames) {

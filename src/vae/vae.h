@@ -22,10 +22,13 @@ class DecoderReshape : public nn::Layer {
   DecoderReshape(int channels, int spatial)
       : channels_(channels), spatial_(spatial) {}
 
-  tensor::Tensor Forward(const tensor::Tensor& input) override {
+  tensor::Tensor Infer(const tensor::Tensor& input) const override {
     int64_t n = input.shape().dim(0);
     return input.Reshaped(
         tensor::Shape{n, channels_, spatial_, spatial_});
+  }
+  tensor::Tensor Forward(const tensor::Tensor& input) override {
+    return Infer(input);
   }
   tensor::Tensor Backward(const tensor::Tensor& grad_output) override {
     int64_t n = grad_output.shape().dim(0);
@@ -100,34 +103,28 @@ class Vae {
   Losses TrainStep(const tensor::Tensor& batch, nn::Optimizer* optimizer,
                    stats::Rng* rng);
 
-  /// Evaluates the loss on a batch without updating parameters.
-  Losses Evaluate(const tensor::Tensor& batch, stats::Rng* rng);
-
   /// Encodes a single frame [C, H, W] (or batch of one) to its posterior
   /// mean — the latent representation used for non-conformity scoring.
-  std::vector<float> EncodeMean(const tensor::Tensor& frame);
+  std::vector<float> EncodeMean(const tensor::Tensor& frame) const;
 
   /// Encodes a frame and samples z ~ N(mu, sigma^2) — one i.i.d. draw from
   /// the learned posterior, used to build Sigma_Ti.
   std::vector<float> EncodeSample(const tensor::Tensor& frame,
-                                  stats::Rng* rng);
+                                  stats::Rng* rng) const;
 
   /// Decodes a latent vector to an image [C, H, W].
-  tensor::Tensor Decode(const std::vector<float>& z);
+  tensor::Tensor Decode(const std::vector<float>& z) const;
 
   /// All trainable parameters (encoder trunk, heads, decoder).
   std::vector<nn::Parameter*> Params();
 
-  /// Deep copy: same architecture and parameters, fresh layer caches — a
-  /// clone can encode on another thread while this instance keeps serving.
-  std::unique_ptr<Vae> Clone() const;
-
   const VaeConfig& config() const { return config_; }
 
  private:
-  // Shared encode helper: runs the trunk and heads on a [N,C,H,W] batch.
+  // Runs the trunk and heads on a [N,C,H,W] batch without touching the
+  // training tape.
   void EncodeBatch(const tensor::Tensor& batch, tensor::Tensor* mu,
-                   tensor::Tensor* logvar);
+                   tensor::Tensor* logvar) const;
 
   VaeConfig config_;
   int trunk_features_ = 0;  // flattened size after the conv trunk

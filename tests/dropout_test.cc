@@ -22,15 +22,14 @@ using tensor::Shape;
 using tensor::Tensor;
 
 TEST(DropoutTest, EvalModeIsIdentity) {
+  // Eval mode is Infer: the identity, drawing no randomness.
   Rng rng(1);
   Dropout dropout(0.5, &rng);
-  dropout.set_training(false);
+  Rng untouched(1);
   Tensor x(Shape{2, 8}, 1.5f);
-  Tensor y = dropout.Forward(x);
+  Tensor y = dropout.Infer(x);
   for (int64_t i = 0; i < y.size(); ++i) EXPECT_FLOAT_EQ(y[i], 1.5f);
-  Tensor g(Shape{2, 8}, 2.0f);
-  Tensor gx = dropout.Backward(g);
-  for (int64_t i = 0; i < gx.size(); ++i) EXPECT_FLOAT_EQ(gx[i], 2.0f);
+  EXPECT_EQ(rng.NextDouble(), untouched.NextDouble());
 }
 
 TEST(DropoutTest, RateZeroIsIdentityInTraining) {
@@ -123,8 +122,8 @@ TEST(McDropoutTest, StochasticPassesVaryAndAverageNormalises) {
 }
 
 TEST(McDropoutTest, DeterministicEvalAfterMcPasses) {
-  // PredictProba must stay deterministic even after MC passes toggled
-  // training mode on and off.
+  // PredictProba must stay deterministic even after stochastic MC passes
+  // ran the training tape.
   Rng rng(9);
   detect::ClassifierConfig config;
   config.num_classes = 3;

@@ -10,10 +10,13 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "detect/image_classifier.h"
+#include "nn/dropout.h"
 #include "nn/init.h"
 #include "nn/layer.h"
 #include "nn/layers.h"
@@ -26,6 +29,7 @@
 #include "stats/rng.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "vae/vae.h"
 #include "conv_reference.h"
 
 namespace vdrift::nn {
@@ -645,18 +649,125 @@ TEST(SerializeTest, LoadRejectsGarbage) {
   EXPECT_FALSE(LoadParameters(&a, &stream).ok());
 }
 
-TEST(CopyParametersTest, CopiesValues) {
-  Rng rng(19);
-  Sequential a;
-  a.Add<Linear>(2, 2, &rng);
-  Sequential b;
-  b.Add<Linear>(2, 2, &rng);
-  ASSERT_TRUE(CopyParameters(&a, &b).ok());
-  Tensor x = RandomTensor(Shape{1, 2}, &rng);
-  Tensor ya = a.Forward(x);
-  Tensor yb = b.Forward(x);
-  for (int64_t i = 0; i < ya.size(); ++i) EXPECT_FLOAT_EQ(ya[i], yb[i]);
+// --- Infer is Forward's arithmetic and leaves the training tape alone. ---
+
+// One layer under test, rebuilt from a seed so two instances start equal.
+struct InferCase {
+  std::string name;
+  std::function<std::shared_ptr<Layer>(Rng*)> make;
+  Shape input;
+  // Forward draws a dropout mask, so only the tape check applies.
+  bool samples = false;
+};
+
+void PrintTo(const InferCase& c, std::ostream* os) { *os << c.name; }
+
+// The VAE's encoder trunk (vae.cc): three stride-2 convolutions with ReLUs,
+// then Flatten.
+std::shared_ptr<Layer> VaeEncoderTrunk(Rng* rng) {
+  auto trunk = std::make_shared<Sequential>();
+  trunk->Add<Conv2d>(1, 4, 3, 2, 1, rng);
+  trunk->Add<ReLU>();
+  trunk->Add<Conv2d>(4, 8, 3, 2, 1, rng);
+  trunk->Add<ReLU>();
+  trunk->Add<Conv2d>(8, 8, 3, 2, 1, rng);
+  trunk->Add<ReLU>();
+  trunk->Add<Flatten>();
+  return trunk;
 }
+
+// The network of an ImageClassifier, kept alive by its owner.
+std::shared_ptr<Layer> ClassifierNet(Rng* rng) {
+  detect::ClassifierConfig config;
+  config.image_size = 8;
+  config.num_classes = 3;
+  config.base_filters = 2;
+  auto model = std::make_shared<detect::ImageClassifier>(config, rng);
+  return std::shared_ptr<Layer>(model, model->net());
+}
+
+void ExpectBitEqual(const Tensor& got, const Tensor& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (int64_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(Bits(got[i]), Bits(want[i])) << what << " at " << i;
+  }
+}
+
+class InferTest : public ::testing::TestWithParam<InferCase> {};
+
+TEST_P(InferTest, MatchesForwardAndLeavesTheTapeAlone) {
+  const InferCase& c = GetParam();
+  Rng data(29);
+  Tensor x1 = RandomTensor(c.input, &data);
+  // A different batch size, so shape-derived state would show too.
+  std::vector<int64_t> dims = c.input.dims();
+  dims[0] += 1;
+  Tensor x2 = RandomTensor(Shape(dims), &data);
+
+  Rng init_a(31);
+  Rng init_b(31);
+  std::shared_ptr<Layer> a = c.make(&init_a);
+  std::shared_ptr<Layer> b = c.make(&init_b);
+  if (!c.samples) {
+    Rng init_c(31);
+    std::shared_ptr<Layer> fresh = c.make(&init_c);
+    Tensor inferred = fresh->Infer(x1);
+    ExpectBitEqual(inferred, fresh->Forward(x1), "Infer vs Forward");
+  }
+  // Forward(x1); Infer(x2); Backward(dy) == Forward(x1); Backward(dy).
+  Tensor y = a->Forward(x1);
+  ExpectBitEqual(b->Forward(x1), y, "Forward");
+  Tensor dy = RandomTensor(y.shape(), &data);
+  (void)a->Infer(x2);
+  ExpectBitEqual(a->Backward(dy), b->Backward(dy), "input gradient");
+  std::vector<Parameter*> pa = a->Params();
+  std::vector<Parameter*> pb = b->Params();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (size_t i = 0; i < pa.size(); ++i) {
+    ExpectBitEqual(pa[i]->grad, pb[i]->grad,
+                   "parameter " + std::to_string(i) + " gradient");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryLayer, InferTest,
+    ::testing::Values(
+        InferCase{"Linear",
+                  [](Rng* rng) { return std::make_shared<Linear>(6, 4, rng); },
+                  Shape{3, 6}},
+        InferCase{"Conv2d",
+                  [](Rng* rng) {
+                    return std::make_shared<Conv2d>(2, 3, 3, 2, 1, rng);
+                  },
+                  Shape{2, 2, 7, 7}},
+        InferCase{"ReLU", [](Rng*) { return std::make_shared<ReLU>(); },
+                  Shape{2, 3, 4, 4}},
+        InferCase{"Sigmoid", [](Rng*) { return std::make_shared<Sigmoid>(); },
+                  Shape{2, 5}},
+        InferCase{"Tanh", [](Rng*) { return std::make_shared<Tanh>(); },
+                  Shape{2, 5}},
+        InferCase{"Flatten", [](Rng*) { return std::make_shared<Flatten>(); },
+                  Shape{2, 3, 4, 4}},
+        InferCase{"Upsample2x",
+                  [](Rng*) { return std::make_shared<Upsample2x>(); },
+                  Shape{2, 2, 3, 3}},
+        InferCase{"Dropout",
+                  [](Rng* rng) { return std::make_shared<Dropout>(0.5, rng); },
+                  Shape{2, 16}, /*samples=*/true},
+        InferCase{"DropoutRateZero",
+                  [](Rng* rng) { return std::make_shared<Dropout>(0.0, rng); },
+                  Shape{2, 16}},
+        InferCase{"DecoderReshape",
+                  [](Rng*) {
+                    return std::make_shared<vae::DecoderReshape>(3, 2);
+                  },
+                  Shape{2, 12}},
+        InferCase{"ImageClassifierNet", ClassifierNet, Shape{2, 1, 8, 8}},
+        InferCase{"VaeEncoderTrunk", VaeEncoderTrunk, Shape{2, 1, 16, 16}}),
+    [](const ::testing::TestParamInfo<InferCase>& info) {
+      return info.param.name;
+    });
 
 TEST(InitTest, HeInitVarianceScaled) {
   Rng rng(20);

@@ -16,12 +16,12 @@ class ConstantClassifier : public nn::ProbabilisticClassifier {
  public:
   ConstantClassifier(int num_classes, int prediction)
       : num_classes_(num_classes), prediction_(prediction) {}
-  std::vector<float> PredictProba(const tensor::Tensor&) override {
+  std::vector<float> PredictProba(const tensor::Tensor&) const override {
     std::vector<float> p(static_cast<size_t>(num_classes_), 0.0f);
     p[static_cast<size_t>(prediction_)] = 1.0f;
     return p;
   }
-  int Predict(const tensor::Tensor&) override { return prediction_; }
+  int Predict(const tensor::Tensor&) const override { return prediction_; }
   int num_classes() const override { return num_classes_; }
 
  private:

@@ -33,10 +33,10 @@ using stats::Rng;
 class FakeClassifier : public nn::ProbabilisticClassifier {
  public:
   FakeClassifier(std::vector<float> proba) : proba_(std::move(proba)) {}
-  std::vector<float> PredictProba(const tensor::Tensor&) override {
+  std::vector<float> PredictProba(const tensor::Tensor&) const override {
     return proba_;
   }
-  int Predict(const tensor::Tensor& frame) override {
+  int Predict(const tensor::Tensor& frame) const override {
     std::vector<float> p = PredictProba(frame);
     return static_cast<int>(std::max_element(p.begin(), p.end()) - p.begin());
   }
@@ -54,7 +54,8 @@ class CountingClassifier : public FakeClassifier {
  public:
   CountingClassifier(std::vector<float> proba, std::atomic<int>* forwards)
       : FakeClassifier(std::move(proba)), forwards_(forwards) {}
-  std::vector<float> PredictProba(const tensor::Tensor& frame) override {
+  std::vector<float> PredictProba(
+      const tensor::Tensor& frame) const override {
     forwards_->fetch_add(1);
     return FakeClassifier::PredictProba(frame);
   }

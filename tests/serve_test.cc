@@ -466,7 +466,7 @@ TEST(TrainingFleetTest, IsDeterministicAcrossThreadCounts) {
   }
 }
 
-// --- Wiring, publication semantics, and clone invariants. ---
+// --- Wiring, publication semantics, and model sharing. ---
 
 class FleetWiringTest : public ::testing::Test {
  protected:
@@ -542,7 +542,7 @@ TEST_F(FleetWiringTest, CowRegistryPublishesAtomicSnapshots) {
   select::CowModelRegistry cow;
   EXPECT_EQ(cow.size(), 0);
   select::CowModelRegistry::Snapshot before = cow.TakeSnapshot();
-  ASSERT_TRUE(cow.Publish(*day_, *sample_).ValueOrDie());
+  ASSERT_TRUE(cow.Publish(*day_, *sample_));
   // The old snapshot is immutable; a fresh one sees the publication.
   EXPECT_TRUE(before->empty());
   select::CowModelRegistry::Snapshot after = cow.TakeSnapshot();
@@ -551,7 +551,7 @@ TEST_F(FleetWiringTest, CowRegistryPublishesAtomicSnapshots) {
   EXPECT_EQ(cow.FindByName("Day"), 0);
   EXPECT_EQ(cow.FindByName("Night"), -1);
   // First writer wins: a second "Day" publishes nothing.
-  EXPECT_FALSE(cow.Publish(*day_, *sample_).ValueOrDie());
+  EXPECT_FALSE(cow.Publish(*day_, *sample_));
   EXPECT_EQ(cow.size(), 1);
 }
 
@@ -632,10 +632,10 @@ class StubClassifier : public nn::ProbabilisticClassifier {
  public:
   explicit StubClassifier(std::vector<float> probs)
       : probs_(std::move(probs)) {}
-  std::vector<float> PredictProba(const tensor::Tensor&) override {
+  std::vector<float> PredictProba(const tensor::Tensor&) const override {
     return probs_;
   }
-  int Predict(const tensor::Tensor&) override {
+  int Predict(const tensor::Tensor&) const override {
     int best = 0;
     for (int c = 1; c < static_cast<int>(probs_.size()); ++c) {
       if (probs_[static_cast<size_t>(c)] > probs_[static_cast<size_t>(best)]) {
@@ -1097,18 +1097,104 @@ TEST_F(FleetWiringTest, ChaosAgainstUnknownStreamIsAnError) {
   EXPECT_EQ(fleet.Run().status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(FleetWiringTest, CloneModelEntrySharesNothingButPreservesAliasing) {
-  select::ModelEntry clone =
-      select::CloneModelEntry(*day_).ValueOrDie();
-  EXPECT_EQ(clone.name, day_->name);
-  // Deep copies throughout: no mutable state shared with the source.
-  EXPECT_NE(clone.profile.get(), day_->profile.get());
-  EXPECT_NE(clone.ensemble.get(), day_->ensemble.get());
-  EXPECT_NE(clone.count_model.get(), day_->count_model.get());
-  // Provisioning deploys ensemble member 0 as the count model; the clone
-  // must alias its *own* member the same way, not the source's.
-  ASSERT_EQ(day_->count_model.get(), day_->ensemble->member(0).get());
-  EXPECT_EQ(clone.count_model.get(), clone.ensemble->member(0).get());
+// Every published entry is in the stream's registry as the same objects,
+// not a copy.
+void ExpectSharesPublished(const DriftFleet& fleet, const std::string& label) {
+  const select::ModelRegistry* shard = fleet.shard_registry(label);
+  ASSERT_NE(shard, nullptr) << label;
+  select::CowModelRegistry::Snapshot published =
+      fleet.published().TakeSnapshot();
+  for (const select::PublishedModel& model : *published) {
+    int index = shard->FindByName(model.entry.name);
+    ASSERT_GE(index, 0) << label << " lacks " << model.entry.name;
+    const select::ModelEntry& held = shard->at(index);
+    EXPECT_EQ(held.profile.get(), model.entry.profile.get()) << label;
+    EXPECT_EQ(held.ensemble.get(), model.entry.ensemble.get()) << label;
+    EXPECT_EQ(held.count_model.get(), model.entry.count_model.get())
+        << label;
+  }
+}
+
+TEST_F(FleetWiringTest, ShardsShareThePublishedModelObjects) {
+  // Stream "a" meets an unprovisioned night and trains a model for it;
+  // "b" stays in the day and adopts that model at the barrier.
+  video::SyntheticDataset ds = video::MakeBddSynthetic(0.004);
+  pipeline::ProvisionOptions provision =
+      benchutil::DefaultWorkbenchOptions().provision;
+  provision.profile.trainer.epochs = 2;
+  provision.classifier_train.epochs = 2;
+  provision.ensemble_size = 1;
+  FleetOptions options;
+  options.pipeline.selector = pipeline::PipelineConfig::Selector::kMsbi;
+  options.pipeline.provision = provision;
+  options.pipeline.allow_training_new = true;
+  options.publication_gate.enabled = false;
+  options.slice_frames = 48;
+  options.max_concurrent = 2;
+  DriftFleet fleet(options);
+  ASSERT_TRUE(fleet.AddBaseModel(*day_, *sample_).ok());
+  video::StreamGenerator stream_a(
+      {{ds.SpecOf("Day"), 96}, {ds.SpecOf("Night"), 200}}, 32, 41);
+  video::StreamGenerator stream_b({{ds.SpecOf("Day"), 480}}, 32, 42);
+  ASSERT_TRUE(fleet.AddStream({"a", &stream_a, nullptr}).ok());
+  ASSERT_TRUE(fleet.AddStream({"b", &stream_b, nullptr}).ok());
+  ExpectSharesPublished(fleet, "a");
+  ExpectSharesPublished(fleet, "b");
+  EXPECT_EQ(fleet.shard_registry("a")->at(0).profile.get(),
+            day_->profile.get());
+
+  FleetReport report = fleet.Run().ValueOrDie();
+  ASSERT_EQ(report.models_published, 1);
+  ASSERT_GE(report.models_adopted, 1);
+  EXPECT_EQ(fleet.shard_registry("b")->size(), 2);
+  ExpectSharesPublished(fleet, "a");
+  ExpectSharesPublished(fleet, "b");
+}
+
+// The bytes of a float or double sequence, for bit-for-bit comparison.
+template <typename T>
+std::string BytesOf(const std::vector<T>& values) {
+  return std::string(reinterpret_cast<const char*>(values.data()),
+                     values.size() * sizeof(T));
+}
+
+TEST_F(FleetWiringTest, OneEntryServesFourThreadsBitIdentically) {
+  // Four streams query, score and encode through the same model objects
+  // at once, each with its own RNG; the results match a serial run bit
+  // for bit. Under TSan this is the proof that inference writes nothing.
+  const select::ModelEntry& entry = *day_;
+  auto stream_scores = [&](int stream) {
+    stats::Rng rng(100 + static_cast<uint64_t>(stream));
+    std::string bytes;
+    for (const select::LabeledFrame& frame : *sample_) {
+      bytes += BytesOf(entry.count_model->PredictProba(frame.pixels));
+      bytes += BytesOf(std::vector<double>{
+          entry.ensemble->BrierScore(frame.pixels, frame.label)});
+      bytes += BytesOf(entry.profile->EncodeSampled(frame.pixels, &rng));
+    }
+    return bytes;
+  };
+  std::vector<std::string> serial(4);
+  {
+    runtime::ScopedThreads threads(1);
+    for (int s = 0; s < 4; ++s) {
+      serial[static_cast<size_t>(s)] = stream_scores(s);
+    }
+  }
+  std::vector<std::string> concurrent(4);
+  {
+    runtime::ScopedThreads threads(4);
+    runtime::ParallelFor(0, 4, 1, [&](int64_t begin, int64_t end) {
+      for (int64_t s = begin; s < end; ++s) {
+        concurrent[static_cast<size_t>(s)] =
+            stream_scores(static_cast<int>(s));
+      }
+    });
+  }
+  for (size_t s = 0; s < 4; ++s) {
+    EXPECT_FALSE(serial[s].empty());
+    EXPECT_TRUE(concurrent[s] == serial[s]) << "stream " << s;
+  }
 }
 
 }  // namespace
