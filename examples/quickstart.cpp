@@ -10,12 +10,13 @@
 // Build & run:  ./build/examples/quickstart
 
 #include <cstdio>
+#include <string>
 
+#include "benchutil/metrics_report.h"
 #include "core/drift_inspector.h"
 #include "core/profile.h"
 #include "obs/episode_trace.h"
 #include "obs/metrics.h"
-#include "obs/report.h"
 #include "stats/rng.h"
 #include "video/datasets.h"
 #include "video/stream.h"
@@ -87,11 +88,10 @@ int main() {
   std::printf("DI observe latency over %lld frames: p50=%.6fs p99=%.6fs\n",
               static_cast<long long>(di.count), di.Quantile(0.5),
               di.Quantile(0.99));
-  Status written = obs::WriteMetricsJson(obs::Global(), &episodes, nullptr,
-                                         "metrics_quickstart.json");
-  if (written.ok()) {
-    std::printf("metrics report written to metrics_quickstart.json "
-                "(%zu episodes)\n",
+  std::string written = benchutil::EmitMetricsJson(
+      obs::Global(), &episodes, nullptr, "metrics_quickstart.json");
+  if (!written.empty()) {
+    std::printf("report holds %zu drift episode(s)\n",
                 episodes.episodes().size());
   }
   return detected ? 0 : 1;

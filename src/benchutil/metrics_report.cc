@@ -1,12 +1,12 @@
 #include "benchutil/metrics_report.h"
 
 #include <cstdio>
+#include <fstream>
 
 #include "benchutil/table.h"
 #include "common/env.h"
 #include "common/status.h"
 #include "obs/openmetrics.h"
-#include "obs/report.h"
 
 namespace vdrift::benchutil {
 
@@ -53,15 +53,31 @@ void PrintMetricsTable(const obs::MetricsRegistry& registry) {
   }
 }
 
+std::string MetricsReportJson(const obs::MetricsRegistry& registry,
+                              const obs::EpisodeRecorder* episodes,
+                              const obs::HealthWatchdog* watchdog) {
+  std::string metrics = registry.ToJson();
+  // Splice "episodes" and "alerts" into the registry's top-level object.
+  metrics.pop_back();  // trailing '}'
+  metrics += ",\"episodes\":";
+  metrics += episodes == nullptr ? "[]" : episodes->ToJson();
+  metrics += ",\"alerts\":";
+  metrics += watchdog == nullptr ? "[]" : watchdog->AlertsJson();
+  metrics += "}";
+  return metrics;
+}
+
 std::string EmitMetricsJson(const obs::MetricsRegistry& registry,
                             const obs::EpisodeRecorder* episodes,
                             const obs::HealthWatchdog* watchdog,
                             const std::string& default_path) {
   std::string path = env::String("VDRIFT_METRICS_JSON", default_path);
-  Status status = obs::WriteMetricsJson(registry, episodes, watchdog, path);
-  if (!status.ok()) {
-    std::fprintf(stderr, "metrics report not written: %s\n",
-                 status.ToString().c_str());
+  std::ofstream out(path, std::ios::trunc);
+  out << MetricsReportJson(registry, episodes, watchdog) << "\n";
+  out.flush();
+  if (!out) {
+    std::fprintf(stderr, "metrics report not written: cannot write %s\n",
+                 path.c_str());
     return "";
   }
   std::printf("metrics report written to %s\n", path.c_str());

@@ -14,11 +14,20 @@ namespace vdrift::benchutil {
 /// Empty histograms show "-" for the shape columns instead of a fake 0.
 void PrintMetricsTable(const obs::MetricsRegistry& registry);
 
-/// Writes the JSON metrics report (registry, plus the episode trace and the
-/// SLO watchdog's alert log when non-null) to `path` — resolved from the
-/// VDRIFT_METRICS_JSON env var when set and non-empty, `default_path`
-/// otherwise — and prints where it went. Returns the path written (empty
-/// on failure, with the error printed).
+/// The full metrics report: the registry's counters/gauges/histograms plus
+/// the drift-episode trace under an "episodes" key and the SLO watchdog's
+/// alert log under an "alerts" key. Either source may be null; its key
+/// then holds []. This is the document the bench harnesses emit and
+/// tools/check_metrics.sh validates (alerts empty on clean runs, non-empty
+/// under injected faults).
+std::string MetricsReportJson(const obs::MetricsRegistry& registry,
+                              const obs::EpisodeRecorder* episodes,
+                              const obs::HealthWatchdog* watchdog);
+
+/// Writes MetricsReportJson (trailing newline included) to `path` —
+/// resolved from the VDRIFT_METRICS_JSON env var when set and non-empty,
+/// `default_path` otherwise — and prints where it went. Returns the path
+/// written (empty on failure, with the error printed).
 std::string EmitMetricsJson(const obs::MetricsRegistry& registry,
                             const obs::EpisodeRecorder* episodes,
                             const obs::HealthWatchdog* watchdog,

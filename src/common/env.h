@@ -12,8 +12,7 @@
 /// nothing is parsed at static-initialisation time, so a setenv made
 /// before the reading code runs is always seen. Callers that must not
 /// pay for a read per call (the thread pool, the log level, kernel
-/// profiling, the trace and profiler arming) read once and keep the
-/// value themselves.
+/// profiling, the trace) read once and keep the value themselves.
 namespace vdrift::env {
 
 /// The knob's value; `fallback` when it is unset or "".

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/profiler.h"
 #include "obs/trace_log.h"
 
 namespace vdrift::obs {
@@ -39,10 +38,6 @@ TraceSpan::TraceSpan(MetricsRegistry* registry, std::string name)
       parent_(g_current_span),
       depth_(g_current_span == nullptr ? 0 : g_current_span->depth_ + 1) {
   g_current_span = this;
-  // Sampling-profiler attribution: while armed, the span's name becomes a
-  // profile-context frame so SIGPROF samples fold to the span stack.
-  // name_.c_str() is stable for the span's lifetime.
-  if (ProfilerArmed()) profiled_ = ProfilePushFrame(name_.c_str());
   TraceLog& log = TraceLog::Instance();
   if (log.enabled()) log.RecordBegin(name_, start_);
 }
@@ -86,13 +81,7 @@ double TraceSpan::Stop() {
   if (registry_ != nullptr) registry_->GetHistogram(name_).Record(elapsed_);
   TraceLog& log = TraceLog::Instance();
   if (log.enabled()) log.RecordEnd(name_, end);
-  if (g_current_span == this) {
-    g_current_span = parent_;
-    // Pop the profile frame only while unwinding on the owning thread —
-    // a foreign-thread Stop() (warned above) must not pop another
-    // thread's context stack.
-    if (profiled_) ProfilePopFrame();
-  }
+  if (g_current_span == this) g_current_span = parent_;
   return elapsed_;
 }
 

@@ -80,10 +80,6 @@ class TraceSpan {
   TraceSpan* parent_;
   int depth_;
   bool stopped_ = false;
-  /// True when this span pushed a profile-context frame (sampling
-  /// profiler armed at construction); the matching pop happens when the
-  /// span unwinds from its thread's stack.
-  bool profiled_ = false;
 };
 
 }  // namespace vdrift::obs

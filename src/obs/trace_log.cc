@@ -9,7 +9,6 @@
 #include "common/env.h"
 #include "common/logging.h"
 #include "obs/json.h"
-#include "obs/profiler.h"
 #include "obs/timer.h"
 
 namespace vdrift::obs {
@@ -266,14 +265,9 @@ OpProbe::OpProbe(const OpCounters& counters, int64_t flops, int64_t bytes)
   counters_.calls->Increment();
   counters_.flops->Increment(flops);
   counters_.bytes->Increment(bytes);
-  // Sampling-profiler attribution: the kernel becomes the innermost
-  // profile-context frame, so samples landing inside the op fold to
-  // "…span;scope.op". trace_name lives in a function-local static.
-  if (ProfilerArmed()) profiled_ = ProfilePushFrame(counters_.trace_name.c_str());
 }
 
 OpProbe::~OpProbe() {
-  if (profiled_) ProfilePopFrame();
   if (!timed_) return;
   double end = MonotonicSeconds();
   counters_.seconds->Record(end - start_);

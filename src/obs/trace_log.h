@@ -154,9 +154,6 @@ class OpProbe {
   int64_t flops_;
   int64_t bytes_;
   bool timed_;
-  /// True when this probe pushed a profile-context frame (sampling
-  /// profiler armed at construction); popped in the destructor.
-  bool profiled_ = false;
   double start_;
 };
 

@@ -1,6 +1,7 @@
 // Tests for the bench harness utilities: the table printer, experiment
-// helpers, the metrics-report path knob, and the workbench model cache
-// (train -> save -> load must give bit-identical model behaviour).
+// helpers, the metrics report (its document and path knob), and the
+// workbench model cache (train -> save -> load must give bit-identical
+// model behaviour).
 
 #include <cstdio>
 #include <filesystem>
@@ -15,7 +16,10 @@
 #include "benchutil/table.h"
 #include "benchutil/workbench.h"
 #include "core/msbo.h"
+#include "obs/episode_trace.h"
 #include "obs/json.h"
+#include "obs/sampler.h"
+#include "obs/watchdog.h"
 #include "scoped_env.h"
 #include "video/stream.h"
 
@@ -68,6 +72,59 @@ TEST(EmitMetricsJsonTest, EmptyOverrideMeansTheDefaultPath) {
   ASSERT_TRUE(report.ok());
   EXPECT_NE(report.value().Find("alerts"), nullptr);
   std::filesystem::remove(path);
+}
+
+TEST(ReportTest, MetricsReportEmbedsEpisodes) {
+  obs::MetricsRegistry reg;
+  reg.GetCounter("c").Increment();
+  obs::EpisodeRecorder recorder;
+  obs::EpisodeFrame frame;
+  frame.frame_index = 3;
+  frame.drift = true;
+  recorder.RecordFrame(frame);
+  recorder.AnnotateDecision("model-2");
+  auto parsed = obs::json::Parse(MetricsReportJson(reg, &recorder, nullptr));
+  ASSERT_TRUE(parsed.ok());
+  const obs::json::Value& v = parsed.value();
+  const obs::json::Value* episodes = v.Find("episodes");
+  ASSERT_NE(episodes, nullptr);
+  ASSERT_TRUE(episodes->is_array());
+  ASSERT_EQ(episodes->array_value.size(), 1u);
+  const obs::json::Value& episode = episodes->array_value[0];
+  EXPECT_EQ(episode.Find("detect_frame")->number_value, 3.0);
+  EXPECT_EQ(episode.Find("decision")->string_value, "model-2");
+  EXPECT_EQ(episode.Find("frames")->array_value.size(), 1u);
+
+  // Without a recorder the key still exists (empty array).
+  auto bare = obs::json::Parse(MetricsReportJson(reg, nullptr, nullptr));
+  ASSERT_TRUE(bare.ok());
+  const obs::json::Value* none = bare.value().Find("episodes");
+  ASSERT_NE(none, nullptr);
+  EXPECT_TRUE(none->is_array());
+  EXPECT_TRUE(none->array_value.empty());
+}
+
+TEST(ReportTest, MetricsReportEmbedsAlerts) {
+  auto rules = obs::ParseSloSpec("drop=dropped:delta/frames:delta<0.1");
+  ASSERT_TRUE(rules.ok());
+  obs::HealthWatchdog dog(rules.value());
+  obs::MetricsWindow window;
+  window.end_time = 10.0;
+  window.counter_deltas["dropped"] = window.counter_totals["dropped"] = 50;
+  window.counter_deltas["frames"] = window.counter_totals["frames"] = 100;
+  ASSERT_EQ(dog.Evaluate(window).size(), 1u);
+
+  // The report splices the watchdog's alert array under "alerts".
+  obs::MetricsRegistry reg;
+  auto report = obs::json::Parse(MetricsReportJson(reg, nullptr, &dog));
+  ASSERT_TRUE(report.ok());
+  const obs::json::Value* embedded = report.value().Find("alerts");
+  ASSERT_NE(embedded, nullptr);
+  ASSERT_EQ(embedded->array_value.size(), 1u);
+  // Without a watchdog the key still exists (empty array).
+  auto bare = obs::json::Parse(MetricsReportJson(reg, nullptr, nullptr));
+  ASSERT_TRUE(bare.ok());
+  EXPECT_TRUE(bare.value().Find("alerts")->array_value.empty());
 }
 
 TEST(MakeDatasetTest, KnownNames) {

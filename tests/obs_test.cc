@@ -15,7 +15,6 @@
 #include "obs/labels.h"
 #include "obs/metrics.h"
 #include "obs/openmetrics.h"
-#include "obs/report.h"
 #include "obs/sampler.h"
 #include "obs/timer.h"
 #include "obs/watchdog.h"
@@ -624,18 +623,8 @@ TEST(WatchdogTest, AlertJsonIsParsableAndEmbedsIntoReport) {
   EXPECT_EQ(a.Find("window")->number_value, 0.0);
   EXPECT_EQ(a.Find("op")->string_value, "<");
   EXPECT_TRUE(a.Has("message"));
-
-  // The report splices the same array under "alerts".
-  MetricsRegistry reg;
-  auto report = json::Parse(MetricsReportJson(reg, nullptr, &dog));
-  ASSERT_TRUE(report.ok());
-  const json::Value* embedded = report.value().Find("alerts");
-  ASSERT_NE(embedded, nullptr);
-  ASSERT_EQ(embedded->array_value.size(), 1u);
-  // Without a watchdog the key still exists (empty array).
-  auto bare = json::Parse(MetricsReportJson(reg, nullptr, nullptr));
-  ASSERT_TRUE(bare.ok());
-  EXPECT_TRUE(bare.value().Find("alerts")->array_value.empty());
+  // The metrics report's half of this check (the same array spliced under
+  // "alerts") is ReportTest.MetricsReportEmbedsAlerts in benchutil_test.
 }
 
 TEST(EpisodeRecorderTest, RecordsBoundedAlertMarks) {
@@ -748,33 +737,6 @@ TEST(JsonTest, RegistryExportRoundTrips) {
   EXPECT_NEAR(hist->Find("p50")->number_value, 0.05, 0.015);
   EXPECT_TRUE(hist->Has("p99"));
   EXPECT_NEAR(hist->Find("sum")->number_value, 5.05, 1e-9);
-}
-
-TEST(ReportTest, MetricsReportEmbedsEpisodes) {
-  MetricsRegistry reg;
-  reg.GetCounter("c").Increment();
-  EpisodeRecorder recorder;
-  recorder.RecordFrame(MakeFrame(3, /*drift=*/true));
-  recorder.AnnotateDecision("model-2");
-  auto parsed = json::Parse(MetricsReportJson(reg, &recorder, nullptr));
-  ASSERT_TRUE(parsed.ok());
-  const json::Value& v = parsed.value();
-  const json::Value* episodes = v.Find("episodes");
-  ASSERT_NE(episodes, nullptr);
-  ASSERT_TRUE(episodes->is_array());
-  ASSERT_EQ(episodes->array_value.size(), 1u);
-  const json::Value& episode = episodes->array_value[0];
-  EXPECT_EQ(episode.Find("detect_frame")->number_value, 3.0);
-  EXPECT_EQ(episode.Find("decision")->string_value, "model-2");
-  EXPECT_EQ(episode.Find("frames")->array_value.size(), 1u);
-
-  // Without a recorder the key still exists (empty array).
-  auto bare = json::Parse(MetricsReportJson(reg, nullptr, nullptr));
-  ASSERT_TRUE(bare.ok());
-  const json::Value* none = bare.value().Find("episodes");
-  ASSERT_NE(none, nullptr);
-  EXPECT_TRUE(none->is_array());
-  EXPECT_TRUE(none->array_value.empty());
 }
 
 }  // namespace

@@ -11,8 +11,9 @@
 #     terminating # EOF),
 #   - the sampler's JSONL time series (per-window counter deltas sum
 #     exactly to the final cumulative totals; render_timeline.py parses it),
-#   - the sampling profiler's folded-stack output (flamegraph.pl grammar:
-#     "frame(;frame)* count" per line, samples attributed to spans/kernels),
+#   - the folded stacks tools/trace_folded.py derives from that trace
+#     (flamegraph.pl grammar, one line per stack, exclusive counts adding
+#     up exactly to the trace's root intervals, span and kernel frames),
 #   - the harness's run-ledger JSONL record (schema, machine fingerprint,
 #     env knobs, every stage populated with quantiles in order, raw
 #     samples on at least one stage, positive headline throughput,
@@ -48,7 +49,6 @@ REPORT="$OUT/metrics.json"
 TRACE="$OUT/trace.json"
 OPENMETRICS="$OUT/metrics.openmetrics"
 JSONL="$OUT/windows.jsonl"
-FOLDED="$OUT/profile.folded"
 LEDGER="$OUT/ledger.jsonl"
 FAULT_REPORT="$OUT/metrics_fault.json"
 FLEET_REPORT="$OUT/metrics_fleet.json"
@@ -56,15 +56,14 @@ export VDRIFT_METRICS_JSON="$REPORT"
 export VDRIFT_TRACE_JSON="$TRACE"
 export VDRIFT_METRICS_OPENMETRICS="$OPENMETRICS"
 export VDRIFT_METRICS_JSONL="$JSONL"
-export VDRIFT_PROFILE_FOLDED="$FOLDED"
 export VDRIFT_BENCH_LEDGER="$LEDGER"
 export VDRIFT_SAMPLE_INTERVAL="${VDRIFT_SAMPLE_INTERVAL:-32}"
 export VDRIFT_SLO_SPEC="${VDRIFT_SLO_SPEC:-default}"
 
-echo "running $BENCH (dataset=$VDRIFT_BENCH_DATASET, trace+sampler+slo+profiler+ledger armed)..."
+echo "running $BENCH (dataset=$VDRIFT_BENCH_DATASET, trace+sampler+slo+ledger armed)..."
 "$BENCH"
 
-for f in "$REPORT" "$TRACE" "$OPENMETRICS" "$JSONL" "$FOLDED" "$LEDGER"; do
+for f in "$REPORT" "$TRACE" "$OPENMETRICS" "$JSONL" "$LEDGER"; do
   if [[ ! -s "$f" ]]; then
     echo "FAIL: bench did not write $f" >&2
     exit 1
@@ -315,26 +314,31 @@ EOF
 echo "rendering timeline from the JSONL series..."
 python3 tools/render_timeline.py "$JSONL" --report "$REPORT" | tail -n 3
 
-python3 - "$FOLDED" <<'EOF'
+python3 - "$TRACE" <<'EOF'
 import re
+import subprocess
 import sys
 
 def fail(msg):
     print(f"FAIL: folded: {msg}", file=sys.stderr)
     sys.exit(1)
 
-# flamegraph.pl input: "frame(;frame)* count", frames non-empty, count a
-# positive integer.
-# flamegraph.pl grammar: the count is whatever follows the LAST space —
-# frames themselves may contain spaces (e.g. the "(no span)" sentinel).
+run = subprocess.run([sys.executable, "tools/trace_folded.py", sys.argv[1]],
+                     capture_output=True, text=True)
+if run.returncode != 0:
+    fail(f"tools/trace_folded.py exited {run.returncode}: {run.stderr}")
+summary = re.search(r"root_total_ns=(\d+)", run.stderr)
+if summary is None:
+    fail(f"no root_total_ns in the tool's summary: {run.stderr!r}")
+root_total = int(summary.group(1))
+# flamegraph.pl grammar: "frame(;frame)* count", the count (ns) after the
+# last space.
 LINE = re.compile(r"^([^;]+(?:;[^;]+)*) (\d+)$")
-with open(sys.argv[1]) as f:
-    lines = f.read().splitlines()
+lines = run.stdout.splitlines()
 if not lines:
-    fail("profiler armed but wrote no samples (CPU-bound run expected)")
+    fail("no stacks derived from the trace")
 total = 0
 stacks = set()
-attributed = 0
 for n, line in enumerate(lines, 1):
     m = LINE.match(line)
     if m is None:
@@ -343,16 +347,20 @@ for n, line in enumerate(lines, 1):
     if count <= 0:
         fail(f"line {n}: non-positive count")
     if stack in stacks:
-        fail(f"line {n}: duplicate stack {stack!r} (aggregation broken)")
+        fail(f"line {n}: duplicate stack {stack!r}")
     stacks.add(stack)
     total += count
-    if stack != "(no span)":
-        attributed += 1
-if attributed == 0:
-    fail("no sample attributed to any span/kernel context")
+if total != root_total:
+    fail(f"counts sum to {total} ns, root intervals to {root_total} ns")
+frames = [stack.split(";") for stack in stacks]
+if not any("vdrift.pipeline.run_seconds" in f for f in frames):
+    fail("no stack runs through vdrift.pipeline.run_seconds")
+if not any(f[-1].startswith("tensor.") for f in frames):
+    fail("no stack ends in a tensor.* op")
 
-print(f"OK: folded: {len(lines)} unique stack(s), {total} sample(s), "
-      f"{attributed} attributed to span/kernel contexts")
+print(f"OK: folded: {len(lines)} unique stack(s) derived from the trace, "
+      f"{total} ns exclusive == {root_total} ns in root intervals "
+      f"({run.stderr.strip().split('; ')[-1]})")
 EOF
 
 python3 - "$LEDGER" <<'EOF'
@@ -434,7 +442,7 @@ VDRIFT_BENCH_SMOKE=1 \
   VDRIFT_FAULT_SPEC="nan_frame:p=0.1;selector_fail:p=0.8" \
   VDRIFT_METRICS_JSON="$FAULT_REPORT" \
   VDRIFT_TRACE_JSON="" VDRIFT_METRICS_OPENMETRICS="" \
-  VDRIFT_METRICS_JSONL="" VDRIFT_PROFILE_FOLDED="" \
+  VDRIFT_METRICS_JSONL="" \
   "$BENCH" > /dev/null
 
 python3 - "$FAULT_REPORT" <<'EOF'
@@ -476,7 +484,7 @@ echo "running fleet pass (smoke, 2 streams, per-stream metrics)..."
 VDRIFT_BENCH_SMOKE=1 \
   VDRIFT_METRICS_JSON="$FLEET_REPORT" \
   VDRIFT_TRACE_JSON="" VDRIFT_METRICS_OPENMETRICS="" \
-  VDRIFT_METRICS_JSONL="" VDRIFT_PROFILE_FOLDED="" \
+  VDRIFT_METRICS_JSONL="" \
   "$FLEET_BENCH" > /dev/null
 
 python3 - "$FLEET_REPORT" <<'EOF'

@@ -15,9 +15,7 @@ enforce by memory; this tool makes them machine-checked:
                             and bench numbers share one clock. Direct
                             std::chrono or POSIX clock use (clock_gettime,
                             gettimeofday) needs a rationale (e.g. a fault
-                            injector's intrinsic wall-clock stall, or the
-                            sampling profiler's signal handler, where only
-                            async-signal-safe clocks are legal).
+                            injector's intrinsic wall-clock stall).
   no-ambient-nondeterminism std::rand / std::random_device / time() / getenv
                             make runs irreproducible. RNG must be seeded
                             PCG32 (stats::Rng); env reads are allowed only
