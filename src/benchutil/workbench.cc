@@ -2,8 +2,9 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
+#include <string_view>
 
+#include "common/binio.h"
 #include "common/logging.h"
 #include "core/ensemble.h"
 #include "stats/moments.h"
@@ -17,47 +18,8 @@ namespace vdrift::benchutil {
 
 namespace {
 
-constexpr uint32_t kCacheMagic = 0x56444243;  // "VDBC"
-constexpr uint32_t kCacheVersion = 4;
-
-template <typename T>
-void WritePod(std::ostream* out, const T& value) {
-  out->write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream* in, T* value) {
-  in->read(reinterpret_cast<char*>(value), sizeof(T));
-  return in->good();
-}
-
-void WriteString(std::ostream* out, const std::string& s) {
-  WritePod<uint64_t>(out, s.size());
-  out->write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-bool ReadString(std::istream* in, std::string* s) {
-  uint64_t n = 0;
-  if (!ReadPod(in, &n) || n > (1u << 20)) return false;
-  s->resize(n);
-  in->read(s->data(), static_cast<std::streamsize>(n));
-  return in->good();
-}
-
-void WriteFloats(std::ostream* out, const std::vector<float>& v) {
-  WritePod<uint64_t>(out, v.size());
-  out->write(reinterpret_cast<const char*>(v.data()),
-             static_cast<std::streamsize>(v.size() * sizeof(float)));
-}
-
-bool ReadFloats(std::istream* in, std::vector<float>* v) {
-  uint64_t n = 0;
-  if (!ReadPod(in, &n) || n > (1u << 28)) return false;
-  v->resize(n);
-  in->read(reinterpret_cast<char*>(v->data()),
-           static_cast<std::streamsize>(n * sizeof(float)));
-  return in->good();
-}
+constexpr std::string_view kCacheMagic = "VDCACHE1";
+constexpr uint32_t kCacheVersion = 5;
 
 detect::ClassifierConfig CountConfig(const pipeline::ProvisionOptions& p) {
   detect::ClassifierConfig config;
@@ -94,92 +56,70 @@ video::SyntheticDataset MakeDataset(const std::string& dataset_name,
 namespace {
 
 Status SaveWorkbench(const Workbench& bench, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out.good()) return Status::IoError("cannot open cache for writing");
-  WritePod(&out, kCacheMagic);
-  WritePod(&out, kCacheVersion);
-  WritePod<int32_t>(&out, bench.registry.size());
+  BinaryWriter out;
+  out.WriteI32(bench.registry.size());
   for (int i = 0; i < bench.registry.size(); ++i) {
     const select::ModelEntry& entry = bench.registry.at(i);
-    WriteString(&out, entry.name);
-    // VAE parameters: serialize via a temporary Sequential-like wrapper.
-    // The Vae exposes Params() directly, so write them inline.
-    std::vector<nn::Parameter*> vae_params = entry.profile->vae()->Params();
-    WritePod<uint64_t>(&out, vae_params.size());
-    for (nn::Parameter* p : vae_params) {
-      std::vector<float> values(p->value.data(),
-                                p->value.data() + p->value.size());
-      WriteFloats(&out, values);
-    }
+    out.WriteString(entry.name);
+    VDRIFT_RETURN_NOT_OK(
+        nn::SaveParameters(entry.profile->vae()->Params(), &out));
     // Scoring-embedding standardisation: re-derived on load (deterministic
     // from the regenerated training frames), so only the point set needs
     // storing.
     const conformal::PointSet& sigma = entry.profile->sigma();
-    WritePod<int32_t>(&out, sigma.k());
-    WritePod<int32_t>(&out, sigma.size());
-    WritePod<int32_t>(&out, sigma.dim());
-    for (const auto& point : sigma.points()) WriteFloats(&out, point);
+    out.WriteI32(sigma.k());
+    out.WriteI32(sigma.size());
+    out.WriteI32(sigma.dim());
+    for (const auto& point : sigma.points()) out.WriteFloatVec(point);
     // Ensemble members (member 0 is also the deployed count model).
-    WritePod<int32_t>(&out, entry.ensemble->size());
+    out.WriteI32(entry.ensemble->size());
     for (int l = 0; l < entry.ensemble->size(); ++l) {
       auto* member =
           dynamic_cast<detect::ImageClassifier*>(entry.ensemble->member(l).get());
       if (member == nullptr) {
         return Status::Internal("cache only supports ImageClassifier members");
       }
-      VDRIFT_RETURN_NOT_OK(nn::SaveParameters(member->net(), &out));
+      VDRIFT_RETURN_NOT_OK(nn::SaveParameters(member->net()->Params(), &out));
     }
     // Predicate model.
     auto* predicate =
         dynamic_cast<detect::ImageClassifier*>(entry.predicate_model.get());
-    WritePod<int32_t>(&out, predicate != nullptr ? 1 : 0);
+    out.WriteI32(predicate != nullptr ? 1 : 0);
     if (predicate != nullptr) {
-      VDRIFT_RETURN_NOT_OK(nn::SaveParameters(predicate->net(), &out));
+      VDRIFT_RETURN_NOT_OK(
+          nn::SaveParameters(predicate->net()->Params(), &out));
     }
   }
-  if (!out.good()) return Status::IoError("cache write failed");
-  return Status::OK();
+  return AtomicWriteFile(path,
+                         SealRecord(kCacheMagic, kCacheVersion, out.bytes()));
 }
 
-// Rebuilds one model entry from the cache stream. The architectures are
+// Rebuilds one model entry from the cache payload. The architectures are
 // reconstructed from `options` (with throwaway random init) and then
 // overwritten with the stored parameters.
 Result<select::ModelEntry> LoadEntry(
-    std::istream* in, const WorkbenchOptions& options,
+    BinaryReader* in, const WorkbenchOptions& options,
     const std::vector<video::Frame>& training_frames, stats::Rng* rng) {
   const pipeline::ProvisionOptions& p = options.provision;
   select::ModelEntry entry;
-  if (!ReadString(in, &entry.name)) return Status::IoError("bad cache name");
+  VDRIFT_RETURN_NOT_OK(in->ReadString(&entry.name));
   auto vae = std::make_shared<vae::Vae>(p.profile.vae, rng);
-  uint64_t vae_param_count = 0;
-  if (!ReadPod(in, &vae_param_count)) return Status::IoError("bad cache");
-  std::vector<nn::Parameter*> vae_params = vae->Params();
-  if (vae_param_count != vae_params.size()) {
-    return Status::InvalidArgument("cache/architecture mismatch (VAE)");
-  }
-  for (nn::Parameter* param : vae_params) {
-    std::vector<float> values;
-    if (!ReadFloats(in, &values) ||
-        static_cast<int64_t>(values.size()) != param->value.size()) {
-      return Status::InvalidArgument("cache/architecture mismatch (VAE)");
-    }
-    std::copy(values.begin(), values.end(), param->value.data());
-  }
+  VDRIFT_RETURN_NOT_OK(nn::LoadParameters(vae->Params(), in));
   int32_t k = 0;
   int32_t n = 0;
   int32_t dim = 0;
-  if (!ReadPod(in, &k) || !ReadPod(in, &n) || !ReadPod(in, &dim)) {
-    return Status::IoError("bad cache point set");
+  VDRIFT_RETURN_NOT_OK(in->ReadI32(&k));
+  VDRIFT_RETURN_NOT_OK(in->ReadI32(&n));
+  VDRIFT_RETURN_NOT_OK(in->ReadI32(&dim));
+  if (n < 0 || static_cast<size_t>(n) > in->remaining()) {
+    return Status::DataLoss("bad cache point count");
   }
-  std::vector<std::vector<float>> points;
-  points.reserve(static_cast<size_t>(n));
-  for (int32_t i = 0; i < n; ++i) {
-    std::vector<float> point;
-    if (!ReadFloats(in, &point) ||
-        static_cast<int32_t>(point.size()) != dim) {
-      return Status::IoError("bad cache point");
+  std::vector<std::vector<float>> points(static_cast<size_t>(n));
+  for (std::vector<float>& point : points) {
+    VDRIFT_RETURN_NOT_OK(in->ReadFloatVec(&point));
+    if (static_cast<int32_t>(point.size()) != dim) {
+      return Status::DataLoss("bad cache point");
     }
-    points.push_back(std::move(point));
   }
   VDRIFT_ASSIGN_OR_RETURN(conformal::PointSet sigma,
                           conformal::PointSet::Build(std::move(points), k));
@@ -207,14 +147,13 @@ Result<select::ModelEntry> LoadEntry(
       std::move(stats_mean), std::move(stats_scale));
 
   int32_t ensemble_size = 0;
-  if (!ReadPod(in, &ensemble_size) || ensemble_size < 1) {
-    return Status::IoError("bad cache ensemble");
-  }
+  VDRIFT_RETURN_NOT_OK(in->ReadI32(&ensemble_size));
+  if (ensemble_size < 1) return Status::DataLoss("bad cache ensemble");
   std::vector<std::shared_ptr<nn::ProbabilisticClassifier>> members;
   for (int32_t l = 0; l < ensemble_size; ++l) {
     auto member =
         std::make_shared<detect::ImageClassifier>(CountConfig(p), rng);
-    VDRIFT_RETURN_NOT_OK(nn::LoadParameters(member->net(), in));
+    VDRIFT_RETURN_NOT_OK(nn::LoadParameters(member->net()->Params(), in));
     members.push_back(std::move(member));
   }
   entry.count_model = members.front();
@@ -222,16 +161,51 @@ Result<select::ModelEntry> LoadEntry(
                           select::DeepEnsemble::Make(std::move(members)));
   entry.ensemble = std::make_shared<select::DeepEnsemble>(std::move(ensemble));
   int32_t has_predicate = 0;
-  if (!ReadPod(in, &has_predicate)) return Status::IoError("bad cache");
+  VDRIFT_RETURN_NOT_OK(in->ReadI32(&has_predicate));
   if (has_predicate != 0) {
     detect::ClassifierConfig pred_config = CountConfig(p);
     pred_config.num_classes = 2;
     auto predicate =
         std::make_shared<detect::ImageClassifier>(pred_config, rng);
-    VDRIFT_RETURN_NOT_OK(nn::LoadParameters(predicate->net(), in));
+    VDRIFT_RETURN_NOT_OK(
+        nn::LoadParameters(predicate->net()->Params(), in));
     entry.predicate_model = std::move(predicate);
   }
   return entry;
+}
+
+// Fills `bench->registry` from the cache file's bytes: one sealed record
+// whose payload is the entry count, then every entry, with nothing after.
+Status LoadWorkbench(std::string_view bytes, const WorkbenchOptions& options,
+                     Workbench* bench) {
+  // The architectures' random initialisation is overwritten by the stored
+  // parameters. It draws from its own generator so that a load failing
+  // part-way leaves the training generator as a fresh build finds it.
+  stats::Rng init_rng(options.seed);
+  VDRIFT_ASSIGN_OR_RETURN(
+      std::string_view payload,
+      OpenRecord(bytes, kCacheMagic, kCacheVersion, "model cache"));
+  BinaryReader in(payload);
+  int32_t count = 0;
+  VDRIFT_RETURN_NOT_OK(in.ReadI32(&count));
+  if (count != static_cast<int32_t>(bench->dataset.segments.size())) {
+    return Status::DataLoss("model cache holds " + std::to_string(count) +
+                            " entries, dataset has " +
+                            std::to_string(bench->dataset.segments.size()));
+  }
+  for (int32_t i = 0; i < count; ++i) {
+    VDRIFT_ASSIGN_OR_RETURN(
+        select::ModelEntry entry,
+        LoadEntry(&in, options, bench->training_frames[static_cast<size_t>(i)],
+                  &init_rng));
+    bench->registry.Add(std::move(entry));
+  }
+  if (in.remaining() != 0) {
+    return Status::DataLoss("model cache has " +
+                            std::to_string(in.remaining()) +
+                            " trailing bytes");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -267,30 +241,17 @@ Result<std::unique_ptr<Workbench>> BuildWorkbench(
 
   bool loaded = false;
   if (!cache_path.empty() && std::filesystem::exists(cache_path)) {
-    std::ifstream in(cache_path, std::ios::binary);
-    uint32_t magic = 0;
-    uint32_t version = 0;
-    int32_t count = 0;
-    if (in.good() && ReadPod(&in, &magic) && magic == kCacheMagic &&
-        ReadPod(&in, &version) && version == kCacheVersion &&
-        ReadPod(&in, &count) &&
-        count == static_cast<int32_t>(bench->dataset.segments.size())) {
-      loaded = true;
-      for (int32_t i = 0; i < count && loaded; ++i) {
-        Result<select::ModelEntry> entry = LoadEntry(
-            &in, options, bench->training_frames[static_cast<size_t>(i)],
-            &rng);
-        if (!entry.ok()) {
-          loaded = false;
-          break;
-        }
-        bench->registry.Add(std::move(entry).value());
-      }
-    }
+    // Decoded straight from the mapped file: a freed heap copy of the
+    // megabyte cache would raise glibc's mmap threshold past every serving
+    // allocation, and peak RSS would then vary from run to run.
+    Status status = ReadMappedFile(cache_path, [&](std::string_view bytes) {
+      return LoadWorkbench(bytes, options, bench.get());
+    });
+    loaded = status.ok();
     if (!loaded) {
       bench->registry = select::ModelRegistry();
       VDRIFT_LOG_WARNING << "model cache " << cache_path
-                         << " unusable; retraining";
+                         << " unusable; retraining: " << status.ToString();
     }
   }
 

@@ -1,38 +1,62 @@
 #include "common/binio.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <array>
 #include <cerrno>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 namespace vdrift {
 
 namespace {
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+// Slicing-by-8: tables[k][b] is the CRC register contribution of byte b
+// followed by k zero bytes, so each 8-byte step folds its bytes in with
+// eight independent lookups instead of eight dependent ones. The model
+// cache is checksummed on every load, where the one-table loop cost
+// ~7 ms per 2 MB.
+CrcTables MakeCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < tables.size(); ++k) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
 }
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  static const std::array<uint32_t, 256> kTable = MakeCrcTable();
+  static const CrcTables kTables = MakeCrcTables();
   const auto* bytes = static_cast<const unsigned char*>(data);
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    c = kTable[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+  for (; size >= 8; size -= 8, bytes += 8) {
+    uint32_t lo = 0;
+    uint32_t hi = 0;
+    std::memcpy(&lo, bytes, sizeof(lo));  // little-endian, as everywhere
+    std::memcpy(&hi, bytes + 4, sizeof(hi));
+    lo ^= c;
+    c = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+        kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+        kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+        kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++bytes) {
+    c = kTables[0][(c ^ *bytes) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -44,23 +68,43 @@ void BinaryWriter::WriteString(const std::string& s) {
 
 void BinaryWriter::WriteDoubleVec(const std::vector<double>& v) {
   WriteU64(static_cast<uint64_t>(v.size()));
-  for (double d : v) WriteDouble(d);
+  WriteBytes(v.data(), v.size() * sizeof(double));
 }
 
 void BinaryWriter::WriteFloatVec(const std::vector<float>& v) {
   WriteU64(static_cast<uint64_t>(v.size()));
-  for (float f : v) WriteF32(f);
+  WriteBytes(v.data(), v.size() * sizeof(float));
 }
 
 void BinaryWriter::WriteI64Vec(const std::vector<int64_t>& v) {
   WriteU64(static_cast<uint64_t>(v.size()));
-  for (int64_t d : v) WriteI64(d);
+  WriteBytes(v.data(), v.size() * sizeof(int64_t));
 }
+
+namespace {
+
+// A u64 element count followed by that many T, into `v`. The count is
+// checked against the bytes left before anything is allocated, so a
+// corrupt count cannot request a huge vector.
+template <typename T>
+Status ReadVec(BinaryReader* reader, const char* what, std::vector<T>* v) {
+  uint64_t size = 0;
+  VDRIFT_RETURN_NOT_OK(reader->ReadU64(&size));
+  if (size > reader->remaining() / sizeof(T)) {
+    return Status::DataLoss(std::string("truncated ") + what +
+                            " vector of declared length " +
+                            std::to_string(size));
+  }
+  v->resize(size);
+  return reader->ReadBytes(v->data(), size * sizeof(T));
+}
+
+}  // namespace
 
 Status BinaryReader::ReadString(std::string* s) {
   uint64_t size = 0;
   VDRIFT_RETURN_NOT_OK(ReadU64(&size));
-  if (offset_ + size > bytes_.size()) {
+  if (size > remaining()) {
     return Status::DataLoss("truncated string of declared length " +
                             std::to_string(size));
   }
@@ -70,45 +114,72 @@ Status BinaryReader::ReadString(std::string* s) {
 }
 
 Status BinaryReader::ReadDoubleVec(std::vector<double>* v) {
-  uint64_t size = 0;
-  VDRIFT_RETURN_NOT_OK(ReadU64(&size));
-  if (size > remaining() / sizeof(double)) {
-    return Status::DataLoss("truncated double vector of declared length " +
-                            std::to_string(size));
-  }
-  v->resize(size);
-  for (uint64_t i = 0; i < size; ++i) {
-    VDRIFT_RETURN_NOT_OK(ReadDouble(&(*v)[i]));
-  }
-  return Status::OK();
+  return ReadVec(this, "double", v);
 }
 
 Status BinaryReader::ReadFloatVec(std::vector<float>* v) {
-  uint64_t size = 0;
-  VDRIFT_RETURN_NOT_OK(ReadU64(&size));
-  if (size > remaining() / sizeof(float)) {
-    return Status::DataLoss("truncated float vector of declared length " +
-                            std::to_string(size));
-  }
-  v->resize(size);
-  for (uint64_t i = 0; i < size; ++i) {
-    VDRIFT_RETURN_NOT_OK(ReadF32(&(*v)[i]));
-  }
-  return Status::OK();
+  return ReadVec(this, "float", v);
 }
 
 Status BinaryReader::ReadI64Vec(std::vector<int64_t>* v) {
-  uint64_t size = 0;
-  VDRIFT_RETURN_NOT_OK(ReadU64(&size));
-  if (size > remaining() / sizeof(int64_t)) {
-    return Status::DataLoss("truncated int64 vector of declared length " +
-                            std::to_string(size));
+  return ReadVec(this, "int64", v);
+}
+
+std::string SealRecord(std::string_view magic, uint32_t version,
+                       std::string_view payload) {
+  const uint64_t length = payload.size();
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  std::string record;
+  record.reserve(magic.size() + sizeof(version) + sizeof(length) +
+                 payload.size() + sizeof(crc));
+  record.append(magic);
+  record.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  record.append(reinterpret_cast<const char*>(&length), sizeof(length));
+  record.append(payload);
+  record.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  return record;
+}
+
+Result<std::string_view> OpenRecord(std::string_view bytes,
+                                    std::string_view magic, uint32_t version,
+                                    std::string_view what) {
+  auto data_loss = [&](const std::string& why) {
+    return Status::DataLoss(std::string(what) + " " + why);
+  };
+  const size_t header = magic.size() + sizeof(uint32_t) + sizeof(uint64_t);
+  if (bytes.size() < header + sizeof(uint32_t)) {
+    return data_loss("too short: " + std::to_string(bytes.size()) +
+                     " bytes");
   }
-  v->resize(size);
-  for (uint64_t i = 0; i < size; ++i) {
-    VDRIFT_RETURN_NOT_OK(ReadI64(&(*v)[i]));
+  if (bytes.substr(0, magic.size()) != magic) {
+    return data_loss("magic mismatch");
   }
-  return Status::OK();
+  uint32_t stored_version = 0;
+  uint64_t length = 0;
+  std::memcpy(&stored_version, bytes.data() + magic.size(),
+              sizeof(stored_version));
+  std::memcpy(&length, bytes.data() + magic.size() + sizeof(stored_version),
+              sizeof(length));
+  if (stored_version != version) {
+    return data_loss("version " + std::to_string(stored_version) +
+                     " not supported (want " + std::to_string(version) +
+                     ")");
+  }
+  const size_t held = bytes.size() - header - sizeof(uint32_t);
+  if (length != held) {
+    return data_loss("payload length mismatch: header says " +
+                     std::to_string(length) + ", record holds " +
+                     std::to_string(held));
+  }
+  std::string_view payload = bytes.substr(header, held);
+  uint32_t stored_crc = 0;
+  std::memcpy(&stored_crc, bytes.data() + header + held, sizeof(stored_crc));
+  const uint32_t actual_crc = Crc32(payload.data(), payload.size());
+  if (stored_crc != actual_crc) {
+    return data_loss("CRC mismatch: stored " + std::to_string(stored_crc) +
+                     ", computed " + std::to_string(actual_crc));
+  }
+  return payload;
 }
 
 Status AtomicWriteFile(const std::string& path, const std::string& bytes) {
@@ -163,17 +234,32 @@ Status AtomicWriteFile(const std::string& path, const std::string& bytes) {
   return Status::OK();
 }
 
+Status ReadMappedFile(const std::string& path,
+                      const std::function<Status(std::string_view)>& read) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::IoError("cannot open '" + path + "' for reading");
+  struct stat st {};
+  const bool sized = ::fstat(fd, &st) == 0;
+  const size_t size = sized ? static_cast<size_t>(st.st_size) : 0;
+  // mmap(2) refuses a zero length; an empty file is an empty view.
+  void* data = size == 0 ? nullptr
+                         : ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+  ::close(fd);
+  if (!sized || data == MAP_FAILED) {
+    return Status::IoError("cannot map '" + path + "'");
+  }
+  Status status = read(std::string_view(static_cast<const char*>(data), size));
+  if (size != 0) ::munmap(data, size);
+  return status;
+}
+
 Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open '" + path + "' for reading");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return Status::IoError("read failure on '" + path + "'");
-  }
-  return buffer.str();
+  std::string bytes;
+  VDRIFT_RETURN_NOT_OK(ReadMappedFile(path, [&](std::string_view mapped) {
+    bytes.assign(mapped);
+    return Status::OK();
+  }));
+  return bytes;
 }
 
 }  // namespace vdrift

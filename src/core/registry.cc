@@ -18,12 +18,6 @@ const ModelEntry& ModelRegistry::at(int index) const {
   return entries_[static_cast<size_t>(index)];
 }
 
-ModelEntry& ModelRegistry::at(int index) {
-  // vdrift-lint: allow(no-data-dependent-check): accessor bounds contract
-  VDRIFT_CHECK(index >= 0 && index < size());
-  return entries_[static_cast<size_t>(index)];
-}
-
 int ModelRegistry::FindByName(const std::string& name) const {
   for (size_t i = 0; i < entries_.size(); ++i) {
     if (entries_[i].name == name) return static_cast<int>(i);

@@ -35,7 +35,6 @@ class ModelRegistry {
 
   /// Entry access.
   const ModelEntry& at(int index) const;
-  ModelEntry& at(int index);
   const std::vector<ModelEntry>& entries() const { return entries_; }
 
   /// Index of the entry with the given name, or -1.

@@ -1,8 +1,6 @@
 #include "nn/serialize.h"
 
 #include <cstdint>
-#include <istream>
-#include <ostream>
 
 namespace vdrift::nn {
 
@@ -10,44 +8,36 @@ namespace {
 constexpr uint32_t kMagic = 0x56444e4e;  // "VDNN"
 }  // namespace
 
-Status SaveParameters(Layer* layer, std::ostream* out) {
-  std::vector<Parameter*> params = layer->Params();
-  uint32_t magic = kMagic;
-  out->write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  uint64_t count = params.size();
-  out->write(reinterpret_cast<const char*>(&count), sizeof(count));
+Status SaveParameters(const std::vector<Parameter*>& params,
+                      BinaryWriter* out) {
+  out->WriteU32(kMagic);
+  out->WriteU64(params.size());
   for (Parameter* p : params) {
-    uint64_t n = static_cast<uint64_t>(p->value.size());
-    out->write(reinterpret_cast<const char*>(&n), sizeof(n));
-    out->write(reinterpret_cast<const char*>(p->value.data()),
-               static_cast<std::streamsize>(n * sizeof(float)));
+    const size_t n = static_cast<size_t>(p->value.size());
+    out->WriteU64(n);
+    out->WriteBytes(p->value.data(), n * sizeof(float));
   }
-  if (!out->good()) return Status::IoError("failed writing parameters");
   return Status::OK();
 }
 
-Status LoadParameters(Layer* layer, std::istream* in) {
+Status LoadParameters(const std::vector<Parameter*>& params,
+                      BinaryReader* in) {
   uint32_t magic = 0;
-  in->read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!in->good() || magic != kMagic) {
-    return Status::IoError("bad parameter stream header");
-  }
+  VDRIFT_RETURN_NOT_OK(in->ReadU32(&magic));
+  if (magic != kMagic) return Status::DataLoss("bad parameter header");
   uint64_t count = 0;
-  in->read(reinterpret_cast<char*>(&count), sizeof(count));
-  std::vector<Parameter*> params = layer->Params();
+  VDRIFT_RETURN_NOT_OK(in->ReadU64(&count));
   if (count != params.size()) {
     return Status::InvalidArgument("parameter count mismatch");
   }
   for (Parameter* p : params) {
     uint64_t n = 0;
-    in->read(reinterpret_cast<char*>(&n), sizeof(n));
-    if (!in->good() || n != static_cast<uint64_t>(p->value.size())) {
+    VDRIFT_RETURN_NOT_OK(in->ReadU64(&n));
+    if (n != static_cast<uint64_t>(p->value.size())) {
       return Status::InvalidArgument("parameter size mismatch");
     }
-    in->read(reinterpret_cast<char*>(p->value.data()),
-             static_cast<std::streamsize>(n * sizeof(float)));
+    VDRIFT_RETURN_NOT_OK(in->ReadBytes(p->value.data(), n * sizeof(float)));
   }
-  if (!in->good()) return Status::IoError("failed reading parameters");
   return Status::OK();
 }
 

@@ -69,8 +69,9 @@ struct PipelineCheckpoint {
   std::vector<video::Frame> recovery_training;
 };
 
-/// Serializes a checkpoint: 8-byte magic "VDCKPT01", u32 version, u64
-/// payload length, payload, u32 CRC-32 of the payload.
+/// Serializes a checkpoint as a SealRecord record (common/binio.h) with
+/// magic "VDCKPT01": u32 version, u64 payload length, payload, u32 CRC-32
+/// of the payload.
 std::string EncodeCheckpoint(const PipelineCheckpoint& checkpoint);
 
 /// Parses bytes produced by EncodeCheckpoint. Bad magic, unknown version,

@@ -65,7 +65,7 @@ Status DriftFleet::AddBaseModel(
     return Status::FailedPrecondition(
         "base models must be published before any stream is added");
   }
-  if (!published_.Publish(entry, sample)) {
+  if (!Publish(entry, sample)) {
     return Status::InvalidArgument("base model name already published: " +
                                    entry.name);
   }
@@ -88,6 +88,21 @@ Status DriftFleet::AddBaseModels(
   return Status::OK();
 }
 
+bool DriftFleet::Publish(const select::ModelEntry& entry,
+                         const std::vector<select::LabeledFrame>& sample) {
+  if (FindPublished(entry.name) != nullptr) return false;
+  published_.push_back(PublishedModel{entry, sample});
+  return true;
+}
+
+const PublishedModel* DriftFleet::FindPublished(
+    const std::string& name) const {
+  for (const PublishedModel& published : published_) {
+    if (published.entry.name == name) return &published;
+  }
+  return nullptr;
+}
+
 DriftFleet::Shard* DriftFleet::FindShard(const std::string& label) {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     if (shard->label == label) return shard.get();
@@ -105,18 +120,11 @@ const select::ModelRegistry* DriftFleet::shard_registry(
 
 Status DriftFleet::BuildShardPipeline(
     Shard* shard, const std::vector<std::string>& fingerprint) {
-  select::CowModelRegistry::Snapshot snapshot = published_.TakeSnapshot();
   auto registry = std::make_unique<select::ModelRegistry>();
   std::vector<std::vector<select::LabeledFrame>> samples;
   samples.reserve(fingerprint.size());
   for (const std::string& name : fingerprint) {
-    const select::PublishedModel* found = nullptr;
-    for (const select::PublishedModel& published : *snapshot) {
-      if (published.entry.name == name) {
-        found = &published;
-        break;
-      }
-    }
+    const PublishedModel* found = FindPublished(name);
     if (found == nullptr) {
       return Status::DataLoss("model '" + name +
                               "' is not in the shared registry; cannot "
@@ -156,7 +164,7 @@ Status DriftFleet::AddStream(const StreamSpec& spec) {
   if (FindShard(spec.label) != nullptr) {
     return Status::InvalidArgument("duplicate stream label: " + spec.label);
   }
-  if (published_.size() == 0) {
+  if (published_.empty()) {
     return Status::FailedPrecondition(
         "publish base models before adding streams");
   }
@@ -165,9 +173,8 @@ Status DriftFleet::AddStream(const StreamSpec& spec) {
   shard->stream = spec.stream;
   shard->injector = spec.injector;
   shard->index = static_cast<int>(shards_.size());
-  select::CowModelRegistry::Snapshot snapshot = published_.TakeSnapshot();
-  shard->initial_fingerprint.reserve(snapshot->size());
-  for (const select::PublishedModel& published : *snapshot) {
+  shard->initial_fingerprint.reserve(published_.size());
+  for (const PublishedModel& published : published_) {
     shard->initial_fingerprint.push_back(published.entry.name);
   }
   if (!options_.checkpoint_dir.empty()) {
@@ -301,7 +308,7 @@ Status DriftFleet::PublishShardModels(Shard* shard) {
                          << verdict.incumbent_accuracy;
       continue;
     }
-    if (published_.Publish(registry.at(i), sample)) {
+    if (Publish(registry.at(i), sample)) {
       models_published_ += 1;
       registry_->GetCounter("vdrift.fleet.models_published").Increment();
       lineage_.push_back(
@@ -313,10 +320,9 @@ Status DriftFleet::PublishShardModels(Shard* shard) {
 }
 
 Status DriftFleet::AdoptPublished(Shard* shard) {
-  select::CowModelRegistry::Snapshot snapshot = published_.TakeSnapshot();
-  // Snapshot order is publication order, so every shard adopts in the same
+  // Publication order is append order, so every shard adopts in the same
   // deterministic order no matter which stream trained what.
-  for (const select::PublishedModel& published : *snapshot) {
+  for (const PublishedModel& published : published_) {
     if (shard->registry->FindByName(published.entry.name) >= 0) continue;
     VDRIFT_RETURN_NOT_OK(shard->pipeline->AdoptModel(
         published.entry, published.calibration_sample));
@@ -419,7 +425,7 @@ Status DriftFleet::ResumeFromManifest(const FleetManifest& manifest,
                               entry.name + "'; resume cannot restore "
                               "trained weights — run fresh");
     }
-    if (published_.FindByName(entry.name) < 0) {
+    if (FindPublished(entry.name) == nullptr) {
       return Status::FailedPrecondition(
           "fleet manifest base model '" + entry.name +
           "' is not published in this fleet");

@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/ensemble.h"
 #include "core/registry.h"
-#include "core/registry_cow.h"
 #include "fault/chaos.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
@@ -132,16 +132,24 @@ struct FleetReport {
   bool resumed = false;
 };
 
+/// \brief One model published to every stream of the fleet: the entry
+/// (sharing its models) plus the labeled calibration sample adopting
+/// streams need to extend their MSBO calibration.
+struct PublishedModel {
+  select::ModelEntry entry;
+  std::vector<select::LabeledFrame> calibration_sample;
+};
+
 /// \brief Multi-stream drift-aware serving (ROADMAP item 1).
 ///
 /// Multiplexes N concurrent streams over the deterministic thread pool.
 /// Each stream owns a full DriftAwarePipeline shard — its own model
-/// registry, DriftInspector and fault injector — while all shards share one
-/// CowModelRegistry: a model trained for one stream's drift is published at
-/// the next round barrier and becomes selectable by every stream. A shard's
-/// registry holds the published entries themselves, not copies: inference
-/// is const and stores nothing, so shards run the same model objects
-/// concurrently.
+/// registry, DriftInspector and fault injector — while all shards share the
+/// published models: a model trained for one stream's drift is published
+/// at the next round barrier and becomes selectable by every stream. A
+/// shard's registry holds the published entries themselves, not copies:
+/// inference is const and stores nothing, so shards run the same model
+/// objects concurrently.
 ///
 /// Scheduling is bulk-synchronous: each round admits up to max_concurrent
 /// ready shards, runs one fixed-size slice per shard in parallel
@@ -201,8 +209,8 @@ class DriftFleet {
   const std::shared_ptr<obs::MetricsRegistry>& registry() const {
     return registry_;
   }
-  /// The shared copy-on-write model registry.
-  const select::CowModelRegistry& published() const { return published_; }
+  /// Every published model, in publication order.
+  const std::vector<PublishedModel>& published() const { return published_; }
   /// The model registry of the stream labelled `label`, or nullptr.
   const select::ModelRegistry* shard_registry(const std::string& label) const;
   /// Fleet sampler / watchdog (null unless armed by FleetOptions).
@@ -245,6 +253,13 @@ class DriftFleet {
   };
 
   Shard* FindShard(const std::string& label);
+  /// Appends `entry` with its calibration sample to the published models.
+  /// First writer wins by name: returns false (and publishes nothing) when
+  /// a model of the same name is already published.
+  bool Publish(const select::ModelEntry& entry,
+               const std::vector<select::LabeledFrame>& sample);
+  /// The published model named `name`, or nullptr.
+  const PublishedModel* FindPublished(const std::string& name) const;
   /// Builds a shard pipeline over a fresh registry of published entries,
   /// one per fingerprint name, in fingerprint order.
   Status BuildShardPipeline(Shard* shard,
@@ -278,8 +293,10 @@ class DriftFleet {
 
   FleetOptions options_;
   HealthPolicy health_policy_;
-  select::CowModelRegistry published_;
-  int base_models_ = 0;  ///< Snapshot prefix published before any stream ran.
+  /// Written and read on the fleet thread only (AddBaseModel, AddStream
+  /// and the barrier), never inside a slice, so it needs no lock.
+  std::vector<PublishedModel> published_;
+  int base_models_ = 0;  ///< Prefix published before any stream ran.
   std::shared_ptr<obs::MetricsRegistry> registry_;
   std::shared_ptr<obs::MetricsSampler> sampler_;
   std::shared_ptr<obs::HealthWatchdog> watchdog_;

@@ -165,9 +165,8 @@ struct FleetManifest {
   std::vector<ModelLineage> lineage;  ///< In publication order.
 };
 
-/// Serializes a manifest: 9-byte magic "VDFLEET01", u32 version, u64
-/// payload length, payload, u32 CRC-32 of the payload — the checkpoint
-/// envelope idiom.
+/// Serializes a manifest as a SealRecord record (common/binio.h) with
+/// magic "VDFLEET01" — the envelope checkpoints and the model cache use.
 std::string EncodeFleetManifest(const FleetManifest& manifest);
 
 /// Parses bytes produced by EncodeFleetManifest. Bad magic, unknown

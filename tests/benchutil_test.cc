@@ -223,6 +223,91 @@ TEST(WorkbenchTest, CorruptCacheFallsBackToTraining) {
   std::filesystem::remove_all(cache);
 }
 
+// A Tokyo workbench small enough to train three times in a test.
+WorkbenchOptions TinyCacheOptions(const std::string& cache_dir) {
+  WorkbenchOptions options;
+  options.dataset_scale = 0.002;
+  options.train_frames = 40;
+  options.provision = pipeline::DefaultProvisionOptions();
+  options.provision.profile.trainer.epochs = 2;
+  options.provision.profile.sigma_size = 30;
+  options.provision.classifier_train.epochs = 1;
+  options.provision.ensemble_size = 1;
+  options.cache_dir = cache_dir;
+  return options;
+}
+
+// A retrained workbench must be the one a build without any cache makes.
+void ExpectSameModels(const Workbench& expected, const Workbench& actual) {
+  ASSERT_EQ(actual.registry.size(), expected.registry.size());
+  std::vector<video::Frame> probe = video::GenerateFrames(
+      expected.dataset.segments[0].spec, 5, expected.dataset.image_size, 778);
+  for (int m = 0; m < expected.registry.size(); ++m) {
+    for (const video::Frame& f : probe) {
+      EXPECT_EQ(expected.registry.at(m).count_model->PredictProba(f.pixels),
+                actual.registry.at(m).count_model->PredictProba(f.pixels));
+      EXPECT_EQ(expected.registry.at(m).profile->Encode(f.pixels),
+                actual.registry.at(m).profile->Encode(f.pixels));
+    }
+  }
+}
+
+TEST(WorkbenchTest, FlippedWeightByteRetrainsAndLeavesNoTmp) {
+  // One flipped bit in a cached weight must not load: the cache record is
+  // checksummed, so the workbench retrains and matches a fresh build.
+  std::string cache =
+      (std::filesystem::temp_directory_path() / "vdrift_flipped_cache")
+          .string();
+  std::filesystem::remove_all(cache);
+  WorkbenchOptions options = TinyCacheOptions(cache);
+  auto fresh = BuildWorkbench("Tokyo", options).ValueOrDie();
+  ASSERT_FALSE(fresh->loaded_from_cache);
+  // A successful save leaves exactly the cache file: no ".tmp" behind.
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(cache)) {
+    files.push_back(entry.path());
+  }
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_NE(files[0].extension(), ".tmp");
+  // Flip one byte in the middle of the file, inside the weights.
+  {
+    std::fstream f(files[0], std::ios::in | std::ios::out | std::ios::binary);
+    const std::streamoff middle =
+        static_cast<std::streamoff>(std::filesystem::file_size(files[0]) / 2);
+    f.seekg(middle);
+    char byte = 0;
+    f.get(byte);
+    f.seekp(middle);
+    f.put(static_cast<char>(byte ^ 0x01));
+  }
+  auto rebuilt = BuildWorkbench("Tokyo", options).ValueOrDie();
+  EXPECT_FALSE(rebuilt->loaded_from_cache);
+  ExpectSameModels(*fresh, *rebuilt);
+  std::filesystem::remove_all(cache);
+}
+
+TEST(WorkbenchTest, ArchitectureMismatchRetrainsLikeAFreshBuild) {
+  // A sound cache written for other classifier shapes fails part-way
+  // through the load; the retrained models must not depend on how far the
+  // load got.
+  std::string cache =
+      (std::filesystem::temp_directory_path() / "vdrift_mismatched_cache")
+          .string();
+  std::filesystem::remove_all(cache);
+  WorkbenchOptions narrow = TinyCacheOptions(cache);
+  narrow.provision.classifier_filters = 2;
+  ASSERT_TRUE(BuildWorkbench("Tokyo", narrow).ok());
+  WorkbenchOptions wide = TinyCacheOptions(cache);
+  wide.provision.classifier_filters = 3;
+  auto rebuilt = BuildWorkbench("Tokyo", wide).ValueOrDie();
+  EXPECT_FALSE(rebuilt->loaded_from_cache);
+  WorkbenchOptions uncached = wide;
+  uncached.cache_dir = "";
+  auto fresh = BuildWorkbench("Tokyo", uncached).ValueOrDie();
+  ExpectSameModels(*fresh, *rebuilt);
+  std::filesystem::remove_all(cache);
+}
+
 TEST(ExperimentsTest, LatencyHelpersAgreeWithGroundTruth) {
   // Build a tiny profile and verify the helper detects an obvious drift
   // and stays silent on matching frames.

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -187,6 +188,28 @@ TEST(AtomicWriteFileTest, PathWithoutDirectoryUsesTheWorkingDirectory) {
   ASSERT_TRUE(AtomicWriteFile(name, "cwd").ok());
   EXPECT_EQ(ReadFileToString(name).ValueOrDie(), "cwd");
   std::remove(name.c_str());
+}
+
+TEST(ReadMappedFileTest, PassesTheBytesAndReturnsTheReadersStatus) {
+  std::string path = ::testing::TempDir() + "/vdrift_mapped_read.bin";
+  std::string payload("map\0\xfe", 5);
+  ASSERT_TRUE(AtomicWriteFile(path, payload).ok());
+  std::string seen;
+  Status status = ReadMappedFile(path, [&](std::string_view bytes) {
+    seen.assign(bytes);
+    return Status::DataLoss("reader says no");
+  });
+  EXPECT_EQ(seen, payload);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  // A file that cannot be opened never reaches the reader.
+  bool called = false;
+  status = ReadMappedFile(path + ".missing", [&](std::string_view) {
+    called = true;
+    return Status::OK();
+  });
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_FALSE(called);
+  std::remove(path.c_str());
 }
 
 TEST(LoggingDeathTest, CheckFailureAborts) {

@@ -324,6 +324,35 @@ TEST(BinIoTest, Crc32DetectsSingleBitFlips) {
   EXPECT_NE(clean, Crc32(data.data(), data.size()));
 }
 
+TEST(BinIoTest, Crc32IsTheZlibCrcAtEveryLengthAndSplit) {
+  // The standard check value, so every record sealed before stays valid.
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  // Against the one-byte-at-a-time definition, at lengths and offsets
+  // on both sides of the 8-byte step, and fed in two pieces via `seed`.
+  std::string data(64, '\0');
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>(i * 37 + 11);
+  }
+  auto bytewise = [](const char* p, size_t n) {
+    uint32_t c = 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+      c ^= static_cast<unsigned char>(p[i]);
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; offset + n <= data.size(); ++n) {
+      const char* p = data.data() + offset;
+      ASSERT_EQ(Crc32(p, n), bytewise(p, n)) << offset << "+" << n;
+      const size_t half = n / 2;
+      ASSERT_EQ(Crc32(p + half, n - half, Crc32(p, half)), bytewise(p, n));
+    }
+  }
+}
+
 pipeline::PipelineCheckpoint MakeCheckpoint() {
   pipeline::PipelineCheckpoint cp;
   cp.registry_fingerprint = {"Angle 1", "Angle 2"};
@@ -380,37 +409,6 @@ TEST(CheckpointCodecTest, RoundTripsEveryField) {
   EXPECT_EQ(out.per_sequence.at(3).count_total, 2);
   EXPECT_EQ(out.degradation.frames_dropped, 4);
   EXPECT_EQ(out.degradation.selector_retries, 1);
-}
-
-TEST(CheckpointCodecTest, EveryCorruptionIsDataLoss) {
-  std::string bytes = pipeline::EncodeCheckpoint(MakeCheckpoint());
-  // Bit flip anywhere in the payload: CRC catches it.
-  {
-    std::string damaged = bytes;
-    damaged[damaged.size() / 2] =
-        static_cast<char>(damaged[damaged.size() / 2] ^ 0x10);
-    Result<pipeline::PipelineCheckpoint> r =
-        pipeline::DecodeCheckpoint(damaged);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
-  }
-  // Torn write: length check catches it.
-  {
-    Result<pipeline::PipelineCheckpoint> r =
-        pipeline::DecodeCheckpoint(bytes.substr(0, bytes.size() / 2));
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
-  }
-  // Wrong magic.
-  {
-    std::string damaged = bytes;
-    damaged[0] = 'X';
-    EXPECT_EQ(pipeline::DecodeCheckpoint(damaged).status().code(),
-              StatusCode::kDataLoss);
-  }
-  // Empty file.
-  EXPECT_EQ(pipeline::DecodeCheckpoint("").status().code(),
-            StatusCode::kDataLoss);
 }
 
 TEST(CheckpointCodecTest, InjectedCorruptionIsAlwaysDetected) {

@@ -9,12 +9,12 @@
 #include <iterator>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/binio.h"
 #include "detect/image_classifier.h"
 #include "nn/dropout.h"
 #include "nn/init.h"
@@ -600,9 +600,10 @@ TEST(SerializeTest, SaveLoadRoundTrip) {
   b.Add<Linear>(3, 4, &rng);
   b.Add<ReLU>();
   b.Add<Linear>(4, 2, &rng);
-  std::stringstream stream;
-  ASSERT_TRUE(SaveParameters(&a, &stream).ok());
-  ASSERT_TRUE(LoadParameters(&b, &stream).ok());
+  BinaryWriter writer;
+  ASSERT_TRUE(SaveParameters(a.Params(), &writer).ok());
+  BinaryReader reader(writer.bytes());
+  ASSERT_TRUE(LoadParameters(b.Params(), &reader).ok());
   Tensor x = RandomTensor(Shape{2, 3}, &rng);
   Tensor ya = a.Forward(x);
   Tensor yb = b.Forward(x);
@@ -622,9 +623,10 @@ TEST(SerializeTest, ConvNetRoundTrip) {
   };
   Sequential a = build();
   Sequential b = build();
-  std::stringstream stream;
-  ASSERT_TRUE(SaveParameters(&a, &stream).ok());
-  ASSERT_TRUE(LoadParameters(&b, &stream).ok());
+  BinaryWriter writer;
+  ASSERT_TRUE(SaveParameters(a.Params(), &writer).ok());
+  BinaryReader reader(writer.bytes());
+  ASSERT_TRUE(LoadParameters(b.Params(), &reader).ok());
   Tensor x = RandomTensor(Shape{2, 1, 16, 16}, &rng);
   Tensor ya = a.Forward(x);
   Tensor yb = b.Forward(x);
@@ -637,16 +639,16 @@ TEST(SerializeTest, LoadRejectsMismatchedArchitecture) {
   a.Add<Linear>(3, 4, &rng);
   Sequential b;
   b.Add<Linear>(3, 5, &rng);
-  std::stringstream stream;
-  ASSERT_TRUE(SaveParameters(&a, &stream).ok());
-  EXPECT_FALSE(LoadParameters(&b, &stream).ok());
+  BinaryWriter writer;
+  ASSERT_TRUE(SaveParameters(a.Params(), &writer).ok());
+  BinaryReader reader(writer.bytes());
+  EXPECT_FALSE(LoadParameters(b.Params(), &reader).ok());
 }
 
 TEST(SerializeTest, LoadRejectsGarbage) {
   Sequential a;
-  std::stringstream stream;
-  stream << "not a model";
-  EXPECT_FALSE(LoadParameters(&a, &stream).ok());
+  BinaryReader reader("not a model");
+  EXPECT_FALSE(LoadParameters(a.Params(), &reader).ok());
 }
 
 // --- Infer is Forward's arithmetic and leaves the training tape alone. ---
