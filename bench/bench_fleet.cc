@@ -8,8 +8,8 @@
 // gate. VDRIFT_FLEET_FAULT_SPEC (ParsePerStreamFaultSpec grammar, e.g.
 // "s1@nan_frame:p=0.02;selector_fail:p=0.5") arms per-stream fault
 // injection; VDRIFT_METRICS_JSON captures the fleet's metrics registry —
-// per-stream {stream=...} series plus the unlabeled aggregates that
-// tools/check_metrics.sh cross-validates.
+// per-stream {stream=...} series plus the unlabeled aggregates they sum
+// to.
 //
 // Self-healing knobs: VDRIFT_FLEET_CHECKPOINT_DIR arms per-shard
 // checkpointing (and with it restart/quarantine recovery);

@@ -17,9 +17,7 @@ void PrintMetricsTable(const obs::MetricsRegistry& registry);
 /// The full metrics report: the registry's counters/gauges/histograms plus
 /// the drift-episode trace under an "episodes" key and the SLO watchdog's
 /// alert log under an "alerts" key. Either source may be null; its key
-/// then holds []. This is the document the bench harnesses emit and
-/// tools/check_metrics.sh validates (alerts empty on clean runs, non-empty
-/// under injected faults).
+/// then holds []. This is the document the bench harnesses emit.
 std::string MetricsReportJson(const obs::MetricsRegistry& registry,
                               const obs::EpisodeRecorder* episodes,
                               const obs::HealthWatchdog* watchdog);

@@ -19,7 +19,7 @@ namespace vdrift::benchutil {
 namespace {
 
 constexpr std::string_view kCacheMagic = "VDCACHE1";
-constexpr uint32_t kCacheVersion = 5;
+constexpr uint32_t kCacheVersion = 6;
 
 detect::ClassifierConfig CountConfig(const pipeline::ProvisionOptions& p) {
   detect::ClassifierConfig config;
@@ -28,6 +28,35 @@ detect::ClassifierConfig CountConfig(const pipeline::ProvisionOptions& p) {
   config.num_classes = p.count_classes;
   config.base_filters = p.classifier_filters;
   return config;
+}
+
+// The option values the training path reads. The cache payload starts
+// with them, so a cache trained with other options is refused instead of
+// served in place of the models asked for.
+std::string TrainingOptionsKey(const WorkbenchOptions& options) {
+  const pipeline::ProvisionOptions& p = options.provision;
+  BinaryWriter out;
+  out.WriteI32(options.train_frames);
+  out.WriteU64(options.seed);
+  out.WriteI32(p.profile.vae.image_size);
+  out.WriteI32(p.profile.vae.channels);
+  out.WriteI32(p.profile.vae.latent_dim);
+  out.WriteI32(p.profile.vae.base_filters);
+  out.WriteDouble(p.profile.vae.kl_weight);
+  out.WriteI32(p.profile.trainer.epochs);
+  out.WriteI32(p.profile.trainer.batch_size);
+  out.WriteF32(p.profile.trainer.learning_rate);
+  out.WriteI32(p.profile.sigma_size);
+  out.WriteI32(p.profile.k);
+  out.WriteDouble(p.profile.stats_weight);
+  out.WriteI32(p.count_classes);
+  out.WriteI32(p.ensemble_size);
+  out.WriteI32(p.classifier_filters);
+  out.WriteI32(p.classifier_train.epochs);
+  out.WriteI32(p.classifier_train.batch_size);
+  out.WriteF32(p.classifier_train.learning_rate);
+  out.WriteU8(p.train_predicate_model ? 1 : 0);
+  return out.TakeBytes();
 }
 
 }  // namespace
@@ -55,8 +84,10 @@ video::SyntheticDataset MakeDataset(const std::string& dataset_name,
 
 namespace {
 
-Status SaveWorkbench(const Workbench& bench, const std::string& path) {
+Status SaveWorkbench(const Workbench& bench, const WorkbenchOptions& options,
+                     const std::string& path) {
   BinaryWriter out;
+  out.WriteString(TrainingOptionsKey(options));
   out.WriteI32(bench.registry.size());
   for (int i = 0; i < bench.registry.size(); ++i) {
     const select::ModelEntry& entry = bench.registry.at(i);
@@ -175,7 +206,8 @@ Result<select::ModelEntry> LoadEntry(
 }
 
 // Fills `bench->registry` from the cache file's bytes: one sealed record
-// whose payload is the entry count, then every entry, with nothing after.
+// whose payload is the training options' key, the entry count, then every
+// entry, with nothing after.
 Status LoadWorkbench(std::string_view bytes, const WorkbenchOptions& options,
                      Workbench* bench) {
   // The architectures' random initialisation is overwritten by the stored
@@ -186,6 +218,12 @@ Status LoadWorkbench(std::string_view bytes, const WorkbenchOptions& options,
       std::string_view payload,
       OpenRecord(bytes, kCacheMagic, kCacheVersion, "model cache"));
   BinaryReader in(payload);
+  std::string key;
+  VDRIFT_RETURN_NOT_OK(in.ReadString(&key));
+  if (key != TrainingOptionsKey(options)) {
+    return Status::FailedPrecondition(
+        "model cache was trained with other options");
+  }
   int32_t count = 0;
   VDRIFT_RETURN_NOT_OK(in.ReadI32(&count));
   if (count != static_cast<int32_t>(bench->dataset.segments.size())) {
@@ -265,7 +303,7 @@ Result<std::unique_ptr<Workbench>> BuildWorkbench(
       bench->registry.Add(std::move(entry));
     }
     if (!cache_path.empty()) {
-      Status save = SaveWorkbench(*bench, cache_path);
+      Status save = SaveWorkbench(*bench, options, cache_path);
       if (!save.ok()) {
         VDRIFT_LOG_WARNING << "failed to write model cache: "
                            << save.ToString();

@@ -19,9 +19,8 @@ std::string FormatDouble(double value);
 /// \brief Minimal JSON document node.
 ///
 /// Just enough of a DOM to round-trip the metrics reports exported by
-/// MetricsRegistry/EpisodeRecorder: the obs tests parse what they export
-/// and the tooling (tools/check_metrics.sh) has a native fallback when no
-/// python interpreter is available. Not a general-purpose JSON library.
+/// MetricsRegistry/EpisodeRecorder: the obs tests parse what they export.
+/// Not a general-purpose JSON library.
 class Value {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };

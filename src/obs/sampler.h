@@ -20,8 +20,8 @@ namespace vdrift::obs {
 ///
 /// Counters carry both the window delta and the cumulative total at the
 /// window's end, so a consumer can verify that the deltas of a run's
-/// windows sum exactly to the final totals (the JSONL invariant
-/// tools/check_metrics.sh asserts). Histograms are *windowed*: the
+/// windows sum exactly to the final totals (the JSONL invariant the
+/// sampler tests assert). Histograms are *windowed*: the
 /// snapshot holds the bucket/count/sum deltas of the window, so
 /// Quantile() answers "p99 of this window", not of the whole run.
 struct MetricsWindow {

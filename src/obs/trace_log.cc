@@ -186,8 +186,8 @@ std::vector<TraceEvent> TraceLog::Drain() {
     ring->next = 0;
     ring->total = 0;
   }
-  // (tid, ts): per-thread chronological order, the contract the trace
-  // validator (tools/check_metrics.sh) checks.
+  // (tid, ts): per-thread chronological order, the order the Chrome
+  // trace is written in.
   std::stable_sort(out.begin(), out.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      if (a.tid != b.tid) return a.tid < b.tid;

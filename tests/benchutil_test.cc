@@ -240,6 +240,10 @@ WorkbenchOptions TinyCacheOptions(const std::string& cache_dir) {
 // A retrained workbench must be the one a build without any cache makes.
 void ExpectSameModels(const Workbench& expected, const Workbench& actual) {
   ASSERT_EQ(actual.registry.size(), expected.registry.size());
+  for (int m = 0; m < expected.registry.size(); ++m) {
+    EXPECT_EQ(actual.registry.at(m).ensemble->size(),
+              expected.registry.at(m).ensemble->size());
+  }
   std::vector<video::Frame> probe = video::GenerateFrames(
       expected.dataset.segments[0].spec, 5, expected.dataset.image_size, 778);
   for (int m = 0; m < expected.registry.size(); ++m) {
@@ -286,26 +290,38 @@ TEST(WorkbenchTest, FlippedWeightByteRetrainsAndLeavesNoTmp) {
   std::filesystem::remove_all(cache);
 }
 
-TEST(WorkbenchTest, ArchitectureMismatchRetrainsLikeAFreshBuild) {
-  // A sound cache written for other classifier shapes fails part-way
-  // through the load; the retrained models must not depend on how far the
-  // load got.
-  std::string cache =
-      (std::filesystem::temp_directory_path() / "vdrift_mismatched_cache")
-          .string();
-  std::filesystem::remove_all(cache);
-  WorkbenchOptions narrow = TinyCacheOptions(cache);
-  narrow.provision.classifier_filters = 2;
-  ASSERT_TRUE(BuildWorkbench("Tokyo", narrow).ok());
-  WorkbenchOptions wide = TinyCacheOptions(cache);
-  wide.provision.classifier_filters = 3;
-  auto rebuilt = BuildWorkbench("Tokyo", wide).ValueOrDie();
+// Builds `cached` into its cache dir, then asks for `requested` there: the
+// cache must not load, and the retrained models must not depend on how far
+// the load got.
+void ExpectMismatchRetrainsLikeAFreshBuild(const WorkbenchOptions& cached,
+                                           const WorkbenchOptions& requested) {
+  std::filesystem::remove_all(requested.cache_dir);
+  ASSERT_TRUE(BuildWorkbench("Tokyo", cached).ok());
+  auto rebuilt = BuildWorkbench("Tokyo", requested).ValueOrDie();
   EXPECT_FALSE(rebuilt->loaded_from_cache);
-  WorkbenchOptions uncached = wide;
+  WorkbenchOptions uncached = requested;
   uncached.cache_dir = "";
   auto fresh = BuildWorkbench("Tokyo", uncached).ValueOrDie();
   ExpectSameModels(*fresh, *rebuilt);
-  std::filesystem::remove_all(cache);
+  std::filesystem::remove_all(requested.cache_dir);
+}
+
+TEST(WorkbenchTest, ArchitectureMismatchRetrainsLikeAFreshBuild) {
+  // A sound cache written for other classifier shapes fails part-way
+  // through the load; one written for another ensemble size has the same
+  // shapes and must be refused by the options sealed into it.
+  std::string cache =
+      (std::filesystem::temp_directory_path() / "vdrift_mismatched_cache")
+          .string();
+  WorkbenchOptions narrow = TinyCacheOptions(cache);
+  narrow.provision.classifier_filters = 2;
+  WorkbenchOptions wide = TinyCacheOptions(cache);
+  wide.provision.classifier_filters = 3;
+  ExpectMismatchRetrainsLikeAFreshBuild(narrow, wide);
+  WorkbenchOptions ensemble_of_three = TinyCacheOptions(cache);
+  ensemble_of_three.provision.ensemble_size = 3;
+  ExpectMismatchRetrainsLikeAFreshBuild(TinyCacheOptions(cache),
+                                        ensemble_of_three);
 }
 
 TEST(ExperimentsTest, LatencyHelpersAgreeWithGroundTruth) {

@@ -3,7 +3,10 @@
 // drift-episode recorder, the windowed sampler, the SLO watchdog, the
 // OpenMetrics exposition, and the JSON export/parse round trip.
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -640,6 +643,54 @@ TEST(EpisodeRecorderTest, RecordsBoundedAlertMarks) {
   EXPECT_EQ(marks[1].frame, 30);
 }
 
+// One histogram series of an OpenMetrics document: its finite bucket
+// counts in document order, the +Inf bucket and _count (-1 when absent).
+struct BucketSeries {
+  std::vector<double> buckets;
+  double inf = -1.0;
+  double count = -1.0;
+};
+
+// The series of histogram `family`, keyed by their labels without `le`.
+std::map<LabelSet, BucketSeries> HistogramSeries(const std::string& text,
+                                                 const std::string& family) {
+  std::map<LabelSet, BucketSeries> series;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const size_t space = line.rfind(' ');
+    MetricKey key = ParseMetricKey(line.substr(0, space)).ValueOrDie();
+    const bool count = key.name == family + "_count";
+    if (!count && key.name != family + "_bucket") continue;
+    std::string le;
+    std::erase_if(key.labels, [&le](const Label& label) {
+      if (label.first != "le") return false;
+      le = label.second;
+      return true;
+    });
+    BucketSeries& s = series[key.labels];
+    const double value = std::stod(line.substr(space + 1));
+    if (count) {
+      s.count = value;
+    } else if (le == "+Inf") {
+      s.inf = value;
+    } else {
+      s.buckets.push_back(value);
+    }
+  }
+  return series;
+}
+
+// Buckets are cumulative and end in +Inf == _count == `count`.
+void ExpectCumulativeBuckets(const BucketSeries& s, double count) {
+  ASSERT_FALSE(s.buckets.empty());
+  EXPECT_TRUE(std::is_sorted(s.buckets.begin(), s.buckets.end()))
+      << "buckets must be cumulative";
+  EXPECT_LE(s.buckets.back(), s.inf);
+  EXPECT_EQ(s.inf, count);
+  EXPECT_EQ(s.count, count);
+}
+
 TEST(OpenMetricsTest, ExposesRegistryInOpenMetricsGrammar) {
   MetricsRegistry reg;
   reg.GetCounter("vdrift.di.detections", {{"dataset", "Tokyo"}})
@@ -648,6 +699,12 @@ TEST(OpenMetricsTest, ExposesRegistryInOpenMetricsGrammar) {
   reg.GetGauge("vdrift.di.p_value").Set(0.25);
   Histogram& h = reg.GetHistogram("vdrift.di.observe_seconds");
   for (int i = 1; i <= 100; ++i) h.Record(0.001 * static_cast<double>(i));
+  Histogram& fast =
+      reg.GetHistogram("vdrift.pipeline.detect_seconds", {{"stream", "s0"}});
+  Histogram& slow =
+      reg.GetHistogram("vdrift.pipeline.detect_seconds", {{"stream", "s1"}});
+  for (int i = 1; i <= 30; ++i) fast.Record(0.0001 * static_cast<double>(i));
+  for (int i = 1; i <= 7; ++i) slow.Record(0.1 * static_cast<double>(i));
   std::string text = OpenMetricsText(reg);
 
   // Terminator, sanitised family names, counter _total suffix.
@@ -663,31 +720,17 @@ TEST(OpenMetricsTest, ExposesRegistryInOpenMetricsGrammar) {
   EXPECT_NE(text.find("# TYPE vdrift_di_p_value gauge"), std::string::npos);
   EXPECT_NE(text.find("# TYPE vdrift_di_observe_seconds histogram"),
             std::string::npos);
-  EXPECT_NE(text.find("vdrift_di_observe_seconds_count 100"),
-            std::string::npos);
 
-  // Buckets are cumulative and end in +Inf == _count.
-  double last = -1.0;
-  bool saw_inf = false;
-  size_t pos = 0;
-  const std::string bucket = "vdrift_di_observe_seconds_bucket{le=\"";
-  while ((pos = text.find(bucket, pos)) != std::string::npos) {
-    size_t le_start = pos + bucket.size();
-    size_t le_end = text.find('"', le_start);
-    std::string le = text.substr(le_start, le_end - le_start);
-    size_t value_start = text.find(' ', le_end) + 1;
-    size_t line_end = text.find('\n', value_start);
-    double count =
-        std::stod(text.substr(value_start, line_end - value_start));
-    EXPECT_GE(count, last) << "buckets must be cumulative";
-    last = count;
-    if (le == "+Inf") {
-      saw_inf = true;
-      EXPECT_EQ(count, 100.0);
-    }
-    pos = line_end;
-  }
-  EXPECT_TRUE(saw_inf);
+  // Per label set, buckets are cumulative and end in +Inf == _count.
+  std::map<LabelSet, BucketSeries> plain =
+      HistogramSeries(text, "vdrift_di_observe_seconds");
+  ASSERT_EQ(plain.size(), 1u);
+  ExpectCumulativeBuckets(plain[LabelSet{}], 100.0);
+  std::map<LabelSet, BucketSeries> per_stream =
+      HistogramSeries(text, "vdrift_pipeline_detect_seconds");
+  ASSERT_EQ(per_stream.size(), 2u);
+  ExpectCumulativeBuckets(per_stream[LabelSet{{"stream", "s0"}}], 30.0);
+  ExpectCumulativeBuckets(per_stream[LabelSet{{"stream", "s1"}}], 7.0);
 }
 
 TEST(OpenMetricsTest, EveryTypeLineIsUniquePerFamily) {

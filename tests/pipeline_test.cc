@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "common/env.h"
 #include "fault/fault.h"
 #include "fault/faulty_stream.h"
+#include "obs/trace_log.h"
 #include "pipeline/checkpoint.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/provision.h"
@@ -677,6 +679,41 @@ TEST_F(PipelineFixture, SamplerWindowsAreDeterministicAndCleanRunIsQuiet) {
     EXPECT_EQ(rewindows[i].counter_deltas, windows[i].counter_deltas);
     EXPECT_EQ(rewindows[i].gauges, windows[i].gauges);
   }
+}
+
+TEST_F(PipelineFixture, TracedRunRecordsStageSpansAndKernelOps) {
+  // With the flight recorder on, one run leaves every pipeline stage span
+  // and the kernels' complete op events, FLOP-attributed, in the rings,
+  // and nothing wraps.
+  obs::TraceLog& log = obs::TraceLog::Instance();
+  log.Enable();
+  video::StreamGenerator stream = bench_->dataset.MakeStream();
+  DriftAwarePipeline pipeline(&bench_->registry, bench_->calibration_samples,
+                              BaseConfig(PipelineConfig::Selector::kMsbo));
+  Result<PipelineMetrics> run = pipeline.Run(&stream);
+  log.Disable();
+  obs::SetKernelProfiling(false);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  std::vector<obs::TraceEvent> events = log.Drain();
+  EXPECT_EQ(log.dropped_events(), 0);
+  std::set<std::string> spans;
+  int ops = 0;
+  int ops_with_flops = 0;
+  for (const obs::TraceEvent& event : events) {
+    if (event.phase == obs::TraceEvent::Phase::kBegin) spans.insert(event.name);
+    if (std::string(event.category) != "op") continue;
+    ++ops;
+    EXPECT_EQ(event.phase, obs::TraceEvent::Phase::kComplete) << event.name;
+    EXPECT_GE(event.dur_us, 0.0) << event.name;
+    if (event.flops > 0) ++ops_with_flops;
+  }
+  for (const char* stage :
+       {"vdrift.pipeline.run_seconds", "vdrift.pipeline.detect_seconds",
+        "vdrift.pipeline.select_seconds", "vdrift.pipeline.query_seconds"}) {
+    EXPECT_EQ(spans.count(stage), 1u) << stage;
+  }
+  EXPECT_GT(ops, 0);
+  EXPECT_GT(ops_with_flops, 0);
 }
 
 TEST_F(PipelineFixture, InjectedFaultsRaiseSloAlerts) {

@@ -159,8 +159,12 @@ TEST_P(RendererLuminance, MeanTracksLuminance) {
     m.Add(tensor::Mean(renderer.Render(spec, &rng).pixels));
   }
   // Mean pixel value correlates with luminance: coarse monotone bounds.
-  if (GetParam() <= 0.2) EXPECT_LT(m.mean(), 0.35);
-  if (GetParam() >= 0.7) EXPECT_GT(m.mean(), 0.4);
+  if (GetParam() <= 0.2) {
+    EXPECT_LT(m.mean(), 0.35);
+  }
+  if (GetParam() >= 0.7) {
+    EXPECT_GT(m.mean(), 0.4);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Levels, RendererLuminance,

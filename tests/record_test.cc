@@ -85,9 +85,9 @@ std::vector<RecordKind> WriteRealRecords(const std::filesystem::path& dir) {
        std::filesystem::directory_iterator(options.cache_dir)) {
     cache = entry.path();
   }
-  kinds.push_back({"model cache", ReadOnly(cache), "VDCACHE1", 5,
+  kinds.push_back({"model cache", ReadOnly(cache), "VDCACHE1", 6,
                    [](const std::string& bytes) {
-                     return OpenRecord(bytes, "VDCACHE1", 5, "model cache")
+                     return OpenRecord(bytes, "VDCACHE1", 6, "model cache")
                          .status();
                    }});
   return kinds;
