@@ -75,6 +75,9 @@ class BinaryReader {
                               std::to_string(offset_) + ", have " +
                               std::to_string(bytes_.size() - offset_));
     }
+    // An empty vector's data() may be null, and memcpy(nullptr, ..., 0) is
+    // undefined behaviour.
+    if (size == 0) return Status::OK();
     std::memcpy(out, bytes_.data() + offset_, size);
     offset_ += size;
     return Status::OK();

@@ -94,6 +94,8 @@ class DriftInspector {
     int64_t frames_seen = 0;
     stats::Rng::State rng;
     ConformalMartingale::State martingale;
+
+    bool operator==(const State&) const = default;
   };
 
   /// Captures the current state.

@@ -61,6 +61,8 @@ class ConformalMartingale {
     double last_delta = 0.0;
     double last_bet = 0.0;
     std::vector<double> history;  ///< Front-to-back copy of the S window.
+
+    bool operator==(const State&) const = default;
   };
 
   /// Captures the current state.

@@ -26,6 +26,8 @@ struct MsboCalibration {
   /// uncertainty of the *foreign* ensembles on sample S_Ti; h is one
   /// standard deviation below the mean of the pc^i_avg over i = 1..m.
   double global_h = 1.0;
+
+  bool operator==(const MsboCalibration&) const = default;
 };
 
 /// Runs the calibration. `samples[i]` is the labeled sample S_Ti of

@@ -106,15 +106,19 @@ Status DecodeFrameVec(BinaryReader* reader, std::vector<video::Frame>* frames) {
 }
 
 std::string EncodePayload(const PipelineCheckpoint& cp) {
+  const PipelineState& state = cp.state;
+  const PipelineCounters& counters = cp.counters;
+  const DegradationStats& degradation = counters.degradation;
   BinaryWriter writer;
   writer.WriteU32(static_cast<uint32_t>(cp.registry_fingerprint.size()));
   for (const std::string& name : cp.registry_fingerprint) {
     writer.WriteString(name);
   }
-  writer.WriteI32(cp.deployed);
-  writer.WriteU8(cp.drift_oblivious ? 1 : 0);
-  writer.WriteI32(cp.consecutive_selection_failures);
-  EncodeRngState(cp.pipeline_rng, &writer);
+  writer.WriteI32(state.deployed);
+  // The drift-oblivious flag's first position (see the second below).
+  writer.WriteU8(degradation.drift_oblivious ? 1 : 0);
+  writer.WriteI32(state.consecutive_selection_failures);
+  EncodeRngState(state.rng.state(), &writer);
   writer.WriteI64(cp.inspector.frames_seen);
   EncodeRngState(cp.inspector.rng, &writer);
   writer.WriteDouble(cp.inspector.martingale.current);
@@ -122,22 +126,22 @@ std::string EncodePayload(const PipelineCheckpoint& cp) {
   writer.WriteDouble(cp.inspector.martingale.last_delta);
   writer.WriteDouble(cp.inspector.martingale.last_bet);
   writer.WriteDoubleVec(cp.inspector.martingale.history);
-  writer.WriteDoubleVec(cp.calibration.pc_avg);
-  writer.WriteDoubleVec(cp.calibration.sigma);
-  writer.WriteDouble(cp.calibration.global_h);
-  writer.WriteU8(cp.calibrated ? 1 : 0);
+  writer.WriteDoubleVec(state.calibration.pc_avg);
+  writer.WriteDoubleVec(state.calibration.sigma);
+  writer.WriteDouble(state.calibration.global_h);
+  writer.WriteU8(state.calibrated ? 1 : 0);
   writer.WriteI64(cp.stream_cursor);
-  writer.WriteI64(cp.frames);
-  writer.WriteI32(cp.drifts_detected);
-  writer.WriteI32(cp.new_models_trained);
-  writer.WriteI64Vec(cp.drift_frames);
-  writer.WriteU32(static_cast<uint32_t>(cp.selections.size()));
-  for (const std::string& selection : cp.selections) {
+  writer.WriteI64(counters.frames);
+  writer.WriteI32(counters.drifts_detected);
+  writer.WriteI32(counters.new_models_trained);
+  writer.WriteI64Vec(counters.drift_frames);
+  writer.WriteU32(static_cast<uint32_t>(counters.selections.size()));
+  for (const std::string& selection : counters.selections) {
     writer.WriteString(selection);
   }
-  writer.WriteI64(cp.selection_invocations);
-  writer.WriteU32(static_cast<uint32_t>(cp.per_sequence.size()));
-  for (const auto& [id, acc] : cp.per_sequence) {
+  writer.WriteI64(counters.selection_invocations);
+  writer.WriteU32(static_cast<uint32_t>(counters.per_sequence.size()));
+  for (const auto& [id, acc] : counters.per_sequence) {
     writer.WriteI32(id);
     writer.WriteI64(acc.count_correct);
     writer.WriteI64(acc.count_total);
@@ -145,31 +149,35 @@ std::string EncodePayload(const PipelineCheckpoint& cp) {
     writer.WriteI64(acc.predicate_total);
     writer.WriteI64(acc.invocations);
   }
-  writer.WriteI64(cp.degradation.frames_dropped);
-  writer.WriteI64(cp.degradation.selector_failures);
-  writer.WriteI64(cp.degradation.selector_retries);
-  writer.WriteI64(cp.degradation.incumbent_fallbacks);
-  writer.WriteI64(cp.degradation.annotator_deferrals);
-  writer.WriteI64(cp.degradation.annotator_errors);
-  writer.WriteI64(cp.degradation.recalibrate_failures);
-  writer.WriteI64(cp.degradation.checkpoint_failures);
-  writer.WriteU8(cp.degradation.drift_oblivious ? 1 : 0);
+  writer.WriteI64(degradation.frames_dropped);
+  writer.WriteI64(degradation.selector_failures);
+  writer.WriteI64(degradation.selector_retries);
+  writer.WriteI64(degradation.incumbent_fallbacks);
+  writer.WriteI64(degradation.annotator_deferrals);
+  writer.WriteI64(degradation.annotator_errors);
+  writer.WriteI64(degradation.recalibrate_failures);
+  writer.WriteI64(degradation.checkpoint_failures);
+  writer.WriteU8(degradation.drift_oblivious ? 1 : 0);
   // --- v2 fields ---
-  writer.WriteI32(cp.last_sequence_id);
-  writer.WriteI64(cp.frames_since_sequence_change);
-  writer.WriteDouble(cp.last_p_value);
-  writer.WriteI64Vec(cp.detect_lags);
-  writer.WriteU8(cp.recovery_phase);
-  writer.WriteI32(cp.recovery_target);
-  writer.WriteI32(cp.recovery_backoff);
-  writer.WriteI32(cp.recovery_attempt);
-  writer.WriteU8(cp.recovery_initial_collect ? 1 : 0);
-  EncodeFrameVec(cp.recovery_window, &writer);
-  EncodeFrameVec(cp.recovery_training, &writer);
+  writer.WriteI32(state.last_sequence_id);
+  writer.WriteI64(state.frames_since_sequence_change);
+  writer.WriteDouble(state.last_p_value);
+  writer.WriteI64Vec(counters.detect_lags);
+  const DriftRecovery& recovery = state.recovery;
+  writer.WriteU8(static_cast<uint8_t>(recovery.phase));
+  writer.WriteI32(recovery.target);
+  writer.WriteI32(recovery.backoff);
+  writer.WriteI32(recovery.attempt);
+  writer.WriteU8(recovery.initial_collect ? 1 : 0);
+  EncodeFrameVec(recovery.window, &writer);
+  EncodeFrameVec(recovery.training, &writer);
   return std::move(writer).TakeBytes();
 }
 
 Status DecodePayload(std::string_view payload, PipelineCheckpoint* cp) {
+  PipelineState& state = cp->state;
+  PipelineCounters& counters = cp->counters;
+  DegradationStats& degradation = counters.degradation;
   BinaryReader reader(payload);
   uint32_t n = 0;
   VDRIFT_RETURN_NOT_OK(reader.ReadU32(&n));
@@ -178,11 +186,13 @@ Status DecodePayload(std::string_view payload, PipelineCheckpoint* cp) {
     VDRIFT_RETURN_NOT_OK(reader.ReadString(&cp->registry_fingerprint[i]));
   }
   uint8_t flag = 0;
-  VDRIFT_RETURN_NOT_OK(reader.ReadI32(&cp->deployed));
-  VDRIFT_RETURN_NOT_OK(reader.ReadU8(&flag));
-  cp->drift_oblivious = flag != 0;
-  VDRIFT_RETURN_NOT_OK(reader.ReadI32(&cp->consecutive_selection_failures));
-  VDRIFT_RETURN_NOT_OK(DecodeRngState(&reader, &cp->pipeline_rng));
+  uint8_t first_oblivious = 0;
+  VDRIFT_RETURN_NOT_OK(reader.ReadI32(&state.deployed));
+  VDRIFT_RETURN_NOT_OK(reader.ReadU8(&first_oblivious));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI32(&state.consecutive_selection_failures));
+  stats::Rng::State rng;
+  VDRIFT_RETURN_NOT_OK(DecodeRngState(&reader, &rng));
+  state.rng.set_state(rng);
   VDRIFT_RETURN_NOT_OK(reader.ReadI64(&cp->inspector.frames_seen));
   VDRIFT_RETURN_NOT_OK(DecodeRngState(&reader, &cp->inspector.rng));
   VDRIFT_RETURN_NOT_OK(reader.ReadDouble(&cp->inspector.martingale.current));
@@ -192,22 +202,22 @@ Status DecodePayload(std::string_view payload, PipelineCheckpoint* cp) {
   VDRIFT_RETURN_NOT_OK(reader.ReadDouble(&cp->inspector.martingale.last_bet));
   VDRIFT_RETURN_NOT_OK(
       reader.ReadDoubleVec(&cp->inspector.martingale.history));
-  VDRIFT_RETURN_NOT_OK(reader.ReadDoubleVec(&cp->calibration.pc_avg));
-  VDRIFT_RETURN_NOT_OK(reader.ReadDoubleVec(&cp->calibration.sigma));
-  VDRIFT_RETURN_NOT_OK(reader.ReadDouble(&cp->calibration.global_h));
+  VDRIFT_RETURN_NOT_OK(reader.ReadDoubleVec(&state.calibration.pc_avg));
+  VDRIFT_RETURN_NOT_OK(reader.ReadDoubleVec(&state.calibration.sigma));
+  VDRIFT_RETURN_NOT_OK(reader.ReadDouble(&state.calibration.global_h));
   VDRIFT_RETURN_NOT_OK(reader.ReadU8(&flag));
-  cp->calibrated = flag != 0;
+  state.calibrated = flag != 0;
   VDRIFT_RETURN_NOT_OK(reader.ReadI64(&cp->stream_cursor));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&cp->frames));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI32(&cp->drifts_detected));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI32(&cp->new_models_trained));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI64Vec(&cp->drift_frames));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&counters.frames));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI32(&counters.drifts_detected));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI32(&counters.new_models_trained));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI64Vec(&counters.drift_frames));
   VDRIFT_RETURN_NOT_OK(reader.ReadU32(&n));
-  cp->selections.resize(n);
+  counters.selections.resize(n);
   for (uint32_t i = 0; i < n; ++i) {
-    VDRIFT_RETURN_NOT_OK(reader.ReadString(&cp->selections[i]));
+    VDRIFT_RETURN_NOT_OK(reader.ReadString(&counters.selections[i]));
   }
-  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&cp->selection_invocations));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&counters.selection_invocations));
   VDRIFT_RETURN_NOT_OK(reader.ReadU32(&n));
   for (uint32_t i = 0; i < n; ++i) {
     int32_t id = 0;
@@ -218,35 +228,41 @@ Status DecodePayload(std::string_view payload, PipelineCheckpoint* cp) {
     VDRIFT_RETURN_NOT_OK(reader.ReadI64(&acc.predicate_correct));
     VDRIFT_RETURN_NOT_OK(reader.ReadI64(&acc.predicate_total));
     VDRIFT_RETURN_NOT_OK(reader.ReadI64(&acc.invocations));
-    cp->per_sequence[id] = acc;
+    counters.per_sequence[id] = acc;
   }
-  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&cp->degradation.frames_dropped));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&cp->degradation.selector_failures));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&cp->degradation.selector_retries));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&cp->degradation.incumbent_fallbacks));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&cp->degradation.annotator_deferrals));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&cp->degradation.annotator_errors));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&cp->degradation.recalibrate_failures));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&cp->degradation.checkpoint_failures));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&degradation.frames_dropped));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&degradation.selector_failures));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&degradation.selector_retries));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&degradation.incumbent_fallbacks));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&degradation.annotator_deferrals));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&degradation.annotator_errors));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&degradation.recalibrate_failures));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&degradation.checkpoint_failures));
   VDRIFT_RETURN_NOT_OK(reader.ReadU8(&flag));
-  cp->degradation.drift_oblivious = flag != 0;
+  if (flag != first_oblivious) {
+    return Status::DataLoss(
+        "checkpoint drift-oblivious flag disagrees with its copy");
+  }
+  degradation.drift_oblivious = flag != 0;
   // --- v2 fields ---
-  VDRIFT_RETURN_NOT_OK(reader.ReadI32(&cp->last_sequence_id));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&cp->frames_since_sequence_change));
-  VDRIFT_RETURN_NOT_OK(reader.ReadDouble(&cp->last_p_value));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI64Vec(&cp->detect_lags));
-  VDRIFT_RETURN_NOT_OK(reader.ReadU8(&cp->recovery_phase));
-  if (cp->recovery_phase > 2) {
-    return Status::DataLoss("checkpoint recovery phase out of range: " +
-                            std::to_string(cp->recovery_phase));
-  }
-  VDRIFT_RETURN_NOT_OK(reader.ReadI32(&cp->recovery_target));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI32(&cp->recovery_backoff));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI32(&cp->recovery_attempt));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI32(&state.last_sequence_id));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&state.frames_since_sequence_change));
+  VDRIFT_RETURN_NOT_OK(reader.ReadDouble(&state.last_p_value));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI64Vec(&counters.detect_lags));
+  DriftRecovery& recovery = state.recovery;
   VDRIFT_RETURN_NOT_OK(reader.ReadU8(&flag));
-  cp->recovery_initial_collect = flag != 0;
-  VDRIFT_RETURN_NOT_OK(DecodeFrameVec(&reader, &cp->recovery_window));
-  VDRIFT_RETURN_NOT_OK(DecodeFrameVec(&reader, &cp->recovery_training));
+  if (flag > static_cast<uint8_t>(DriftRecovery::Phase::kTraining)) {
+    return Status::DataLoss("checkpoint recovery phase out of range: " +
+                            std::to_string(flag));
+  }
+  recovery.phase = static_cast<DriftRecovery::Phase>(flag);
+  VDRIFT_RETURN_NOT_OK(reader.ReadI32(&recovery.target));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI32(&recovery.backoff));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI32(&recovery.attempt));
+  VDRIFT_RETURN_NOT_OK(reader.ReadU8(&flag));
+  recovery.initial_collect = flag != 0;
+  VDRIFT_RETURN_NOT_OK(DecodeFrameVec(&reader, &recovery.window));
+  VDRIFT_RETURN_NOT_OK(DecodeFrameVec(&reader, &recovery.training));
   if (reader.remaining() != 0) {
     return Status::DataLoss("checkpoint payload has " +
                             std::to_string(reader.remaining()) +

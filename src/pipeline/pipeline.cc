@@ -86,13 +86,13 @@ DriftAwarePipeline::DriftAwarePipeline(
     : registry_(registry),
       calibration_samples_(std::move(calibration_samples)),
       config_(config),
-      oracle_(0),
-      rng_(config.seed),
-      deployed_(config.initial_model) {
+      oracle_(0) {
+  state_.deployed = config.initial_model;
+  state_.rng = stats::Rng(config.seed);
   // vdrift-lint: allow(no-data-dependent-check): null-wiring bug, not data
   VDRIFT_CHECK(registry_ != nullptr && !registry_->empty());
   // vdrift-lint: allow(no-data-dependent-check): ctor config contract
-  VDRIFT_CHECK(deployed_ >= 0 && deployed_ < registry_->size());
+  VDRIFT_CHECK(state_.deployed >= 0 && state_.deployed < registry_->size());
   if (config_.selector == PipelineConfig::Selector::kMsbo) {
     // vdrift-lint: allow(no-data-dependent-check): ctor config contract
     VDRIFT_CHECK(static_cast<int>(calibration_samples_.size()) ==
@@ -103,7 +103,7 @@ DriftAwarePipeline::DriftAwarePipeline(
     // as a Status there instead of aborting construction.
   }
   inspector_ = std::make_unique<conformal::DriftInspector>(
-      registry_->at(deployed_).profile.get(), config_.di, config_.seed);
+      registry_->at(state_.deployed).profile.get(), config_.di, config_.seed);
   AttachRunObservability();
 }
 
@@ -141,9 +141,6 @@ void DriftAwarePipeline::AttachRunObservability() {
   names_.martingale = named("vdrift.di.martingale");
   names_.p_value = named("vdrift.di.p_value");
   last_sample_frame_ = 0;
-  last_p_value_ = 1.0;
-  last_sequence_id_ = -1;
-  frames_since_sequence_change_ = 0;
   metrics_.sampler.reset();
   metrics_.watchdog.reset();
   if (obs.sample_interval_frames <= 0) return;
@@ -173,7 +170,8 @@ void DriftAwarePipeline::TickObs(bool force) {
   // rules) can see it. Counter-backed state is already in the registry.
   obs::MetricsRegistry& reg = *metrics_.registry;
   const DegradationStats& degradation = metrics_.degradation;
-  reg.GetGauge(names_.drift_oblivious).Set(drift_oblivious_ ? 1.0 : 0.0);
+  reg.GetGauge(names_.drift_oblivious)
+      .Set(degradation.drift_oblivious ? 1.0 : 0.0);
   reg.GetGauge(names_.incumbent_fallbacks)
       .Set(static_cast<double>(degradation.incumbent_fallbacks));
   reg.GetGauge(names_.annotator_deferrals)
@@ -185,7 +183,7 @@ void DriftAwarePipeline::TickObs(bool force) {
   reg.GetGauge(names_.recalibrate_failures)
       .Set(static_cast<double>(degradation.recalibrate_failures));
   reg.GetGauge(names_.martingale).Set(inspector_->martingale_value());
-  reg.GetGauge(names_.p_value).Set(last_p_value_);
+  reg.GetGauge(names_.p_value).Set(state_.last_p_value);
   obs::MetricsWindow window =
       metrics_.sampler->Sample(static_cast<double>(frame_clock));
   last_sample_frame_ = frame_clock;
@@ -199,13 +197,15 @@ void DriftAwarePipeline::TickObs(bool force) {
 
 Status DriftAwarePipeline::Recalibrate() {
   VDRIFT_ASSIGN_OR_RETURN(
-      calibration_, select::CalibrateMsbo(*registry_, calibration_samples_));
-  calibrated_ = true;
+      state_.calibration,
+      select::CalibrateMsbo(*registry_, calibration_samples_));
+  state_.calibrated = true;
   return Status::OK();
 }
 
 Status DriftAwarePipeline::EnsureCalibrated() {
-  if (calibrated_ || config_.selector != PipelineConfig::Selector::kMsbo) {
+  if (state_.calibrated ||
+      config_.selector != PipelineConfig::Selector::kMsbo) {
     return Status::OK();
   }
   return Recalibrate();
@@ -215,7 +215,7 @@ void DriftAwarePipeline::RecordQueries(const video::Frame& frame,
                                        PipelineMetrics* metrics) {
   obs::TraceSpan query_span(metrics->registry.get(), names_.query_span);
   SequenceAccuracy& acc = metrics->per_sequence[frame.truth.sequence_id];
-  const select::ModelEntry& entry = registry_->at(deployed_);
+  const select::ModelEntry& entry = registry_->at(state_.deployed);
   int count_classes = entry.count_model->num_classes();
   int predicted = entry.count_model->Predict(frame.pixels);
   int truth = detect::CountLabel(frame.truth, count_classes);
@@ -266,7 +266,7 @@ Result<select::Selection> DriftAwarePipeline::AttemptSelection(
       return Status::DeadlineExceeded(
           "no recovery frame was annotated in time");
     }
-    select::Msbo msbo(registry_, calibration_, config_.msbo);
+    select::Msbo msbo(registry_, state_.calibration, config_.msbo);
     return msbo.Select(labeled);
   }
   select::Msbi msbi(registry_, config_.msbi);
@@ -276,19 +276,20 @@ Result<select::Selection> DriftAwarePipeline::AttemptSelection(
 void DriftAwarePipeline::AdvanceLagClock(const video::Frame& frame) {
   // A ground-truth sequence change is the true drift onset the next
   // detection is measured against.
-  if (frame.truth.sequence_id != last_sequence_id_) {
-    last_sequence_id_ = frame.truth.sequence_id;
-    frames_since_sequence_change_ = 0;
+  if (frame.truth.sequence_id != state_.last_sequence_id) {
+    state_.last_sequence_id = frame.truth.sequence_id;
+    state_.frames_since_sequence_change = 0;
   } else {
-    frames_since_sequence_change_ += 1;
+    state_.frames_since_sequence_change += 1;
   }
 }
 
 void DriftAwarePipeline::BeginDriftHandling() {
-  recovery_ = DriftRecovery{};
-  recovery_.phase = DriftRecovery::Phase::kWindow;
-  recovery_.target = config_.recovery_window;
-  recovery_.backoff = std::max(1, config_.degrade.backoff_initial_frames);
+  DriftRecovery& recovery = state_.recovery;
+  recovery = DriftRecovery{};
+  recovery.phase = DriftRecovery::Phase::kWindow;
+  recovery.target = config_.recovery_window;
+  recovery.backoff = std::max(1, config_.degrade.backoff_initial_frames);
 }
 
 void DriftAwarePipeline::FinishRedeployment(PipelineMetrics* metrics) {
@@ -296,10 +297,10 @@ void DriftAwarePipeline::FinishRedeployment(PipelineMetrics* metrics) {
   metrics->registry->GetCounter(names_.redeployments).Increment();
   // Re-arm DI against the newly deployed distribution.
   inspector_ = std::make_unique<conformal::DriftInspector>(
-      registry_->at(deployed_).profile.get(), config_.di,
+      registry_->at(state_.deployed).profile.get(), config_.di,
       config_.seed + static_cast<uint64_t>(metrics->drifts_detected));
   inspector_->set_recorder(metrics->episodes.get());
-  recovery_ = DriftRecovery{};
+  state_.recovery = DriftRecovery{};
 }
 
 Status DriftAwarePipeline::ContinueDriftHandling(video::FrameSource* stream,
@@ -310,8 +311,8 @@ Status DriftAwarePipeline::ContinueDriftHandling(video::FrameSource* stream,
   // processed by the still-deployed model while the selector decides).
   // Every pulled frame spends the same admitted-frame budget as the main
   // loop, so a slice never overshoots RunOptions::max_frames; when the
-  // budget runs out mid-collection the state parks in recovery_ and the
-  // next Run call (or a resumed checkpoint) continues it. Non-finite
+  // budget runs out mid-collection the state parks in state_.recovery and
+  // the next Run call (or a resumed checkpoint) continues it. Non-finite
   // frames are useless to both the selector and the queries: dropped +
   // counted.
   enum class Collect { kFilled, kBudget, kStreamEnd };
@@ -339,51 +340,51 @@ Status DriftAwarePipeline::ContinueDriftHandling(video::FrameSource* stream,
   // attempt widens the recovery window before trying again, and after
   // max_selection_retries the drift is resolved by keeping the incumbent
   // (better a possibly-stale model than a dead pipeline).
-  while (recovery_.phase == DriftRecovery::Phase::kWindow) {
-    Collect got = collect(&recovery_.window, recovery_.target);
+  DriftRecovery& recovery = state_.recovery;
+  while (recovery.phase == DriftRecovery::Phase::kWindow) {
+    Collect got = collect(&recovery.window, recovery.target);
     if (got == Collect::kBudget) return Status::OK();  // parked at the slice
-    if (recovery_.initial_collect) {
-      if (recovery_.window.empty()) {
-        recovery_ = DriftRecovery{};
+    if (recovery.initial_collect) {
+      if (recovery.window.empty()) {
+        recovery = DriftRecovery{};
         return Status::OK();  // stream ended at the drift
       }
-      recovery_.initial_collect = false;
-      recovery_.target = static_cast<int>(recovery_.window.size());
+      recovery.initial_collect = false;
+      recovery.target = static_cast<int>(recovery.window.size());
     }
     Result<select::Selection> attempted = [&] {
       obs::TraceSpan select_span(metrics->registry.get(), names_.select_span);
-      return AttemptSelection(recovery_.window, metrics);
+      return AttemptSelection(recovery.window, metrics);
     }();
     if (!attempted.ok()) {
       metrics->degradation.selector_failures += 1;
       metrics->registry->GetCounter(names_.selection_failures).Increment();
-      if (recovery_.attempt >= config_.degrade.max_selection_retries) {
+      if (recovery.attempt >= config_.degrade.max_selection_retries) {
         metrics->degradation.incumbent_fallbacks += 1;
         metrics->selections.push_back("<incumbent>");
         metrics->episodes->AnnotateDecision("<incumbent>");
-        ++consecutive_selection_failures_;
+        ++state_.consecutive_selection_failures;
         if (config_.degrade.max_consecutive_failures > 0 &&
-            consecutive_selection_failures_ >=
+            state_.consecutive_selection_failures >=
                 config_.degrade.max_consecutive_failures) {
-          drift_oblivious_ = true;
           metrics->degradation.drift_oblivious = true;
         }
         inspector_->Reset();
-        recovery_ = DriftRecovery{};
+        recovery = DriftRecovery{};
         return Status::OK();
       }
-      recovery_.attempt += 1;
+      recovery.attempt += 1;
       metrics->degradation.selector_retries += 1;
-      recovery_.target += recovery_.backoff;
-      recovery_.backoff *= 2;
+      recovery.target += recovery.backoff;
+      recovery.backoff *= 2;
       continue;
     }
     select::Selection selection = std::move(attempted).value();
-    consecutive_selection_failures_ = 0;
+    state_.consecutive_selection_failures = 0;
     metrics->selection_invocations += selection.invocations;
     if (!selection.train_new_model) {
-      deployed_ = selection.model_index;
-      metrics->selections.push_back(registry_->at(deployed_).name);
+      state_.deployed = selection.model_index;
+      metrics->selections.push_back(registry_->at(state_.deployed).name);
       FinishRedeployment(metrics);
       return Status::OK();
     }
@@ -392,26 +393,27 @@ Status DriftAwarePipeline::ContinueDriftHandling(video::FrameSource* stream,
       metrics->selections.push_back("<none>");
       metrics->episodes->AnnotateDecision("<none>");
       inspector_->Reset();
-      recovery_ = DriftRecovery{};
+      recovery = DriftRecovery{};
       return Status::OK();
     }
     // trainNewModel() (§5.4): accumulate more frames, annotate with the
     // oracle, and provision a full model entry.
-    recovery_.training = recovery_.window;
-    recovery_.phase = DriftRecovery::Phase::kTraining;
+    recovery.training = recovery.window;
+    recovery.phase = DriftRecovery::Phase::kTraining;
   }
 
-  if (recovery_.phase == DriftRecovery::Phase::kTraining) {
-    Collect got = collect(&recovery_.training, config_.new_model_window);
+  if (recovery.phase == DriftRecovery::Phase::kTraining) {
+    Collect got = collect(&recovery.training, config_.new_model_window);
     if (got == Collect::kBudget) return Status::OK();  // parked at the slice
     std::string name = config_.trained_model_prefix +
                        std::to_string(metrics->new_models_trained);
     VDRIFT_ASSIGN_OR_RETURN(
         select::ModelEntry entry,
-        ProvisionModel(name, recovery_.training, config_.provision, &rng_));
+        ProvisionModel(name, recovery.training, config_.provision,
+                       &state_.rng));
     int index = registry_->Add(std::move(entry));
     calibration_samples_.push_back(MakeLabeledSample(
-        recovery_.training, config_.provision.count_classes, 32, &rng_));
+        recovery.training, config_.provision.count_classes, 32, &state_.rng));
     if (config_.selector == PipelineConfig::Selector::kMsbo) {
       Status recalibrated = Recalibrate();
       if (!recalibrated.ok()) {
@@ -419,11 +421,11 @@ Status DriftAwarePipeline::ContinueDriftHandling(video::FrameSource* stream,
         // baseline for the new model so it stays selectable; the next
         // successful Recalibrate replaces the whole vector anyway.
         metrics->degradation.recalibrate_failures += 1;
-        calibration_.pc_avg.push_back(1.0);
-        calibration_.sigma.push_back(0.0);
+        state_.calibration.pc_avg.push_back(1.0);
+        state_.calibration.sigma.push_back(0.0);
       }
     }
-    deployed_ = index;
+    state_.deployed = index;
     metrics->new_models_trained += 1;
     metrics->selections.push_back(name);
     FinishRedeployment(metrics);
@@ -437,14 +439,15 @@ Status DriftAwarePipeline::AdoptModel(
   if (registry_->FindByName(entry.name) >= 0) return Status::OK();
   registry_->Add(entry);
   calibration_samples_.push_back(sample);
-  if (config_.selector == PipelineConfig::Selector::kMsbo && calibrated_) {
+  if (config_.selector == PipelineConfig::Selector::kMsbo &&
+      state_.calibrated) {
     Status recalibrated = Recalibrate();
     if (!recalibrated.ok()) {
       // Same degradation contract as trainNewModel: the adopted entry gets
       // a permissive calibration extension and stays selectable.
       metrics_.degradation.recalibrate_failures += 1;
-      calibration_.pc_avg.push_back(1.0);
-      calibration_.sigma.push_back(0.0);
+      state_.calibration.pc_avg.push_back(1.0);
+      state_.calibration.sigma.push_back(0.0);
     }
   }
   return Status::OK();
@@ -469,20 +472,20 @@ Result<PipelineMetrics> DriftAwarePipeline::Run(video::FrameSource* stream,
     const int64_t max_frames = options.max_frames;
     // Drift handling parked at the previous slice boundary continues
     // first — its frames draw from this call's budget.
-    if (recovery_.phase != DriftRecovery::Phase::kIdle &&
+    if (recovery_pending() &&
         (max_frames < 0 || admitted < max_frames)) {
       VDRIFT_RETURN_NOT_OK(
           ContinueDriftHandling(stream, &metrics_, &admitted, max_frames));
       TickObs(false);
     }
     while ((max_frames < 0 || admitted < max_frames) &&
-           recovery_.phase == DriftRecovery::Phase::kIdle &&
+           !recovery_pending() &&
            stream->Next(&frame)) {
       ++admitted;
       metrics_.frames += 1;
       frame_counter.Increment();
       AdvanceLagClock(frame);
-      if (drift_oblivious_) {
+      if (drift_oblivious()) {
         // Degraded endgame: DI is disarmed, the incumbent keeps serving.
         if (config_.run_queries) RecordQueries(frame, &metrics_);
         TickObs(false);
@@ -501,13 +504,14 @@ Result<PipelineMetrics> DriftAwarePipeline::Run(video::FrameSource* stream,
         TickObs(false);
         continue;
       }
-      last_p_value_ = observation.value().p_value;
+      state_.last_p_value = observation.value().p_value;
       if (config_.run_queries) RecordQueries(frame, &metrics_);
       if (observation.value().drift) {
         metrics_.drifts_detected += 1;
         drift_counter.Increment();
         metrics_.drift_frames.push_back(frame.truth.frame_index);
-        const int64_t lag = std::max<int64_t>(1, frames_since_sequence_change_);
+        const int64_t lag =
+            std::max<int64_t>(1, state_.frames_since_sequence_change);
         metrics_.detect_lags.push_back(lag);
         detect_lag.Record(static_cast<double>(lag));
         BeginDriftHandling();
@@ -532,33 +536,10 @@ Status DriftAwarePipeline::Checkpoint(const std::string& path,
   for (int i = 0; i < registry_->size(); ++i) {
     cp.registry_fingerprint.push_back(registry_->at(i).name);
   }
-  cp.deployed = deployed_;
-  cp.drift_oblivious = drift_oblivious_;
-  cp.consecutive_selection_failures = consecutive_selection_failures_;
-  cp.pipeline_rng = rng_.state();
-  cp.inspector = inspector_->SaveState();
-  cp.calibration = calibration_;
-  cp.calibrated = calibrated_;
   cp.stream_cursor = stream.position();
-  cp.frames = metrics_.frames;
-  cp.drifts_detected = metrics_.drifts_detected;
-  cp.new_models_trained = metrics_.new_models_trained;
-  cp.drift_frames = metrics_.drift_frames;
-  cp.selections = metrics_.selections;
-  cp.selection_invocations = metrics_.selection_invocations;
-  cp.per_sequence = metrics_.per_sequence;
-  cp.degradation = metrics_.degradation;
-  cp.last_sequence_id = last_sequence_id_;
-  cp.frames_since_sequence_change = frames_since_sequence_change_;
-  cp.last_p_value = last_p_value_;
-  cp.detect_lags = metrics_.detect_lags;
-  cp.recovery_phase = static_cast<uint8_t>(recovery_.phase);
-  cp.recovery_target = recovery_.target;
-  cp.recovery_backoff = recovery_.backoff;
-  cp.recovery_attempt = recovery_.attempt;
-  cp.recovery_initial_collect = recovery_.initial_collect;
-  cp.recovery_window = recovery_.window;
-  cp.recovery_training = recovery_.training;
+  cp.inspector = inspector_->SaveState();
+  cp.state = state_;
+  cp.counters = metrics_;
   Status written = WriteCheckpointFile(cp, path, config_.injector);
   if (!written.ok()) {
     metrics_.degradation.checkpoint_failures += 1;
@@ -571,9 +552,8 @@ Status DriftAwarePipeline::Resume(const std::string& path,
                                   video::FrameSource* stream) {
   // vdrift-lint: allow(no-data-dependent-check): null-wiring bug, not data
   VDRIFT_CHECK(stream != nullptr);
-  Result<PipelineCheckpoint> read = ReadCheckpointFile(path, config_.injector);
-  VDRIFT_RETURN_NOT_OK(read.status());
-  const PipelineCheckpoint& cp = read.value();
+  VDRIFT_ASSIGN_OR_RETURN(PipelineCheckpoint cp,
+                          ReadCheckpointFile(path, config_.injector));
   // Validate everything BEFORE touching pipeline state, so a failed
   // Resume leaves the cold-start pipeline intact for the fallback run.
   if (static_cast<int>(cp.registry_fingerprint.size()) != registry_->size()) {
@@ -592,9 +572,9 @@ Status DriftAwarePipeline::Resume(const std::string& path,
                               "'");
     }
   }
-  if (cp.deployed < 0 || cp.deployed >= registry_->size()) {
+  if (cp.state.deployed < 0 || cp.state.deployed >= registry_->size()) {
     return Status::DataLoss("checkpoint deployed index out of range: " +
-                            std::to_string(cp.deployed));
+                            std::to_string(cp.state.deployed));
   }
   if (cp.stream_cursor < 0) {
     return Status::DataLoss("checkpoint stream cursor is negative");
@@ -608,36 +588,17 @@ Status DriftAwarePipeline::Resume(const std::string& path,
                               std::to_string(cp.stream_cursor));
     }
   }
-  deployed_ = cp.deployed;
-  drift_oblivious_ = cp.drift_oblivious;
-  consecutive_selection_failures_ = cp.consecutive_selection_failures;
-  rng_.set_state(cp.pipeline_rng);
-  calibration_ = cp.calibration;
-  calibrated_ = cp.calibrated;
+  state_ = std::move(cp.state);
   inspector_ = std::make_unique<conformal::DriftInspector>(
-      registry_->at(deployed_).profile.get(), config_.di, config_.seed);
+      registry_->at(state_.deployed).profile.get(), config_.di, config_.seed);
   inspector_->RestoreState(cp.inspector);
   metrics_ = PipelineMetrics{};
   AttachRunObservability();
-  metrics_.frames = cp.frames;
-  metrics_.drifts_detected = cp.drifts_detected;
-  metrics_.new_models_trained = cp.new_models_trained;
-  metrics_.drift_frames = cp.drift_frames;
-  metrics_.selections = cp.selections;
-  metrics_.selection_invocations = cp.selection_invocations;
-  metrics_.per_sequence = cp.per_sequence;
-  metrics_.degradation = cp.degradation;
-  // Detection-lag clock and the per-detection lags: AttachRunObservability
-  // reset the clock, so restore it after, and replay the recorded lags
-  // into the fresh per-run histogram so `detect_lag_frames` is
-  // bit-identical to an uninterrupted run's.
-  last_sequence_id_ = cp.last_sequence_id;
-  frames_since_sequence_change_ = cp.frames_since_sequence_change;
-  last_p_value_ = cp.last_p_value;
-  metrics_.detect_lags = cp.detect_lags;
+  static_cast<PipelineCounters&>(metrics_) = std::move(cp.counters);
   if (config_.obs.shared_registry == nullptr) {
     // A private per-run registry is fresh, so the recorded lags are
-    // replayed into it; a shared (fleet) registry outlives the pipeline
+    // replayed into it and `detect_lag_frames` is bit-identical to an
+    // uninterrupted run's; a shared (fleet) registry outlives the pipeline
     // and already holds the pre-crash series — replaying would double
     // every observation.
     obs::Histogram& detect_lag =
@@ -648,16 +609,6 @@ Status DriftAwarePipeline::Resume(const std::string& path,
   }
   // Sampler cadence continues in the cumulative admitted-frame clock.
   last_sample_frame_ = metrics_.frames;
-  // Drift handling parked at the interrupted slice continues where it
-  // stopped, buffered frames included.
-  recovery_ = DriftRecovery{};
-  recovery_.phase = static_cast<DriftRecovery::Phase>(cp.recovery_phase);
-  recovery_.target = cp.recovery_target;
-  recovery_.backoff = cp.recovery_backoff;
-  recovery_.attempt = cp.recovery_attempt;
-  recovery_.initial_collect = cp.recovery_initial_collect;
-  recovery_.window = cp.recovery_window;
-  recovery_.training = cp.recovery_training;
   inspector_->set_recorder(metrics_.episodes.get());
   return Status::OK();
 }

@@ -60,6 +60,8 @@ struct SequenceAccuracy {
                : static_cast<double>(invocations) /
                      static_cast<double>(queried_frames);
   }
+
+  bool operator==(const SequenceAccuracy&) const = default;
 };
 
 /// \brief What the pipeline absorbed instead of crashing.
@@ -85,6 +87,8 @@ struct DegradationStats {
            incumbent_fallbacks + annotator_deferrals + annotator_errors +
            recalibrate_failures + checkpoint_failures;
   }
+
+  bool operator==(const DegradationStats&) const = default;
 };
 
 /// \brief Observability wiring of one pipeline run: the windowed metrics
@@ -117,8 +121,9 @@ struct PipelineObsOptions {
   std::shared_ptr<obs::MetricsRegistry> shared_registry;
 };
 
-/// \brief Everything a pipeline run reports.
-struct PipelineMetrics {
+/// \brief The cumulative counters of a pipeline run. A checkpoint saves
+/// them as one struct and Resume restores them as one.
+struct PipelineCounters {
   int64_t frames = 0;
   int drifts_detected = 0;
   int new_models_trained = 0;
@@ -133,6 +138,13 @@ struct PipelineMetrics {
   std::map<int, SequenceAccuracy> per_sequence;  ///< Keyed by sequence id.
   DegradationStats degradation;           ///< Faults absorbed, not crashed on.
 
+  bool operator==(const PipelineCounters&) const = default;
+};
+
+/// \brief Everything a pipeline run reports: the cumulative counters plus
+/// timings and instruments, which are not state and restart from zero
+/// after a resume.
+struct PipelineMetrics : PipelineCounters {
   /// Derived views over the obs spans recorded in `registry` (sums of the
   /// `vdrift.pipeline.*_seconds` histograms) — kept as plain fields so
   /// existing callers read them exactly as before.
@@ -172,6 +184,52 @@ struct DegradationPolicy {
   /// keep running on the incumbent; DI is disarmed) rather than burning
   /// the selector on every window. 0 disables the tripwire.
   int max_consecutive_failures = 3;
+};
+
+/// \brief Drift handling parked across Run-call boundaries.
+///
+/// Recovery/training frames draw from the same admitted-frame budget as
+/// the main loop, so a slice boundary can interrupt drift handling at any
+/// point; this struct is the continuation. Checkpoints carry it, buffered
+/// frames included, so a resumed run continues collecting exactly where
+/// the interrupted one stopped.
+struct DriftRecovery {
+  enum class Phase : uint8_t {
+    kIdle = 0,      ///< No drift being handled.
+    kWindow = 1,    ///< Collecting the recovery window / retry backoff.
+    kTraining = 2,  ///< Collecting the trainNewModel window.
+  };
+  Phase phase = Phase::kIdle;
+  std::vector<video::Frame> window;    ///< Recovery-window frames.
+  std::vector<video::Frame> training;  ///< Training-window frames.
+  int target = 0;   ///< Frames `window` must reach before selecting.
+  int backoff = 0;  ///< Next retry's extra window frames.
+  int attempt = 0;  ///< Selection attempts so far for this drift.
+  bool initial_collect = true;  ///< First fill of the recovery window.
+
+  bool operator==(const DriftRecovery&) const = default;
+};
+
+/// \brief DriftAwarePipeline's recoverable state besides its counters and
+/// its inspector. The pipeline runs on this struct; a checkpoint saves it
+/// whole and Resume restores it whole.
+struct PipelineState {
+  int deployed = 0;  ///< Registry index of the deployed model.
+  /// Consecutive drifts resolved by incumbent fallback (the tripwire into
+  /// drift-oblivious operation, DegradationPolicy).
+  int consecutive_selection_failures = 0;
+  stats::Rng rng{};  ///< Draws of the trainNewModel path.
+  select::MsboCalibration calibration;
+  bool calibrated = false;
+  /// Detection-lag clock: the ground-truth sequence under way and the
+  /// frames since it began. It keeps counting across slices and resumes, so
+  /// a resumed run's detect_lag_frames histogram is bit-identical.
+  int last_sequence_id = -1;
+  int64_t frames_since_sequence_change = 0;
+  double last_p_value = 1.0;  ///< Most recent DI observation's p.
+  DriftRecovery recovery;
+
+  bool operator==(const PipelineState&) const = default;
 };
 
 /// \brief Configuration of the drift-aware pipeline (Fig. 1 architecture).
@@ -249,11 +307,13 @@ class DriftAwarePipeline {
                               const RunOptions& options = {});
 
   /// The currently deployed model index.
-  int deployed_model() const { return deployed_; }
+  int deployed_model() const { return state_.deployed; }
 
   /// True once repeated selection failures tripped the pipeline into
   /// drift-oblivious operation.
-  bool drift_oblivious() const { return drift_oblivious_; }
+  bool drift_oblivious() const {
+    return metrics_.degradation.drift_oblivious;
+  }
 
   /// Cumulative metrics so far (valid between Run calls).
   const PipelineMetrics& metrics() const { return metrics_; }
@@ -262,7 +322,7 @@ class DriftAwarePipeline {
   /// last Run call exhausted its frame budget mid-recovery (window or
   /// training collection) and the next call will continue it.
   bool recovery_pending() const {
-    return recovery_.phase != DriftRecovery::Phase::kIdle;
+    return state_.recovery.phase != DriftRecovery::Phase::kIdle;
   }
 
   /// The labeled calibration sample per registry entry, in registry
@@ -288,14 +348,13 @@ class DriftAwarePipeline {
   const conformal::DriftInspector& inspector() const { return *inspector_; }
 
   /// \brief Writes a versioned, CRC-guarded snapshot of the pipeline's
-  /// recoverable state to `path` (atomic tmp+rename): inspector state
-  /// (martingale trajectory, RNG), deployed model, MSBO calibration,
-  /// degradation state, cumulative metrics counters, and the stream
-  /// cursor `stream->position()`. Model weights are NOT serialized; the
-  /// snapshot records a registry fingerprint instead, so resuming
-  /// requires re-provisioning the same registry (see Resume). Non-const
-  /// because a failed or fault-injected write is itself recorded in the
-  /// degradation stats.
+  /// recoverable state to `path` (atomic tmp+rename): the PipelineState,
+  /// the PipelineCounters, the inspector state (martingale trajectory,
+  /// RNG) and the stream cursor `stream->position()`. Model weights are
+  /// NOT serialized; the snapshot records a registry fingerprint instead,
+  /// so resuming requires re-provisioning the same registry (see Resume).
+  /// Non-const because a failed or fault-injected write is itself
+  /// recorded in the degradation stats.
   Status Checkpoint(const std::string& path, const video::FrameSource& stream);
 
   /// \brief Restores a snapshot written by Checkpoint and fast-forwards
@@ -319,28 +378,6 @@ class DriftAwarePipeline {
     std::string detect_lag, drift_oblivious, incumbent_fallbacks,
         annotator_deferrals, annotator_errors, selector_retries,
         recalibrate_failures, martingale, p_value;
-  };
-
-  /// \brief Drift handling parked across Run-call boundaries.
-  ///
-  /// Recovery/training frames draw from the same admitted-frame budget as
-  /// the main loop, so a slice boundary can interrupt drift handling at
-  /// any point; this struct is the continuation. It is serialized into
-  /// checkpoints (including the buffered frames) so a resumed run
-  /// continues collecting exactly where the interrupted one stopped.
-  struct DriftRecovery {
-    enum class Phase : uint8_t {
-      kIdle = 0,      ///< No drift being handled.
-      kWindow = 1,    ///< Collecting the recovery window / retry backoff.
-      kTraining = 2,  ///< Collecting the trainNewModel window.
-    };
-    Phase phase = Phase::kIdle;
-    std::vector<video::Frame> window;    ///< Recovery-window frames.
-    std::vector<video::Frame> training;  ///< Training-window frames.
-    int target = 0;   ///< Frames `window` must reach before selecting.
-    int backoff = 0;  ///< Next retry's extra window frames.
-    int attempt = 0;  ///< Selection attempts so far for this drift.
-    bool initial_collect = true;  ///< First fill of the recovery window.
   };
 
   Status EnsureCalibrated();
@@ -373,21 +410,12 @@ class DriftAwarePipeline {
   select::ModelRegistry* registry_;
   std::vector<std::vector<select::LabeledFrame>> calibration_samples_;
   PipelineConfig config_;
-  select::MsboCalibration calibration_;
-  bool calibrated_ = false;
   detect::OracleAnnotator oracle_;
-  stats::Rng rng_;
-  int deployed_ = 0;
-  bool drift_oblivious_ = false;
-  int consecutive_selection_failures_ = 0;
+  PipelineState state_;
   std::unique_ptr<conformal::DriftInspector> inspector_;
-  PipelineMetrics metrics_;
-  DriftRecovery recovery_;
+  PipelineMetrics metrics_;  ///< Its PipelineCounters base is state too.
   ObsNames names_;
   int64_t last_sample_frame_ = 0;   ///< Admitted-frame clock at last window.
-  double last_p_value_ = 1.0;       ///< Most recent DI observation's p.
-  int last_sequence_id_ = -1;       ///< Ground-truth sequence under way.
-  int64_t frames_since_sequence_change_ = 0;  ///< Detection-lag clock.
 };
 
 /// \brief The ODIN baseline pipeline: ODIN-Detect + ODIN-Select per frame.

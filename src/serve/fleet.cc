@@ -33,8 +33,6 @@ DriftFleet::DriftFleet(const FleetOptions& options)
   // vdrift-lint: allow(no-data-dependent-check): config wiring contract
   VDRIFT_CHECK(options_.slice_frames > 0 && options_.max_concurrent > 0)
       << "fleet needs a positive slice size and concurrency";
-  health_policy_.max_restarts = options_.max_restarts;
-  health_policy_.backoff_base = options_.backoff_base;
   if (options_.sample_interval_rounds > 0) {
     obs::MetricsSampler::Options sampler_options;
     sampler_options.max_windows = options_.max_windows;
@@ -234,10 +232,10 @@ Status DriftFleet::RebuildShard(Shard* shard) {
 
 Status DriftFleet::KillShard(Shard* shard, const Status& cause) {
   if (!shard->health.Serving()) return Status::OK();
-  if (!shard->health.GrantRestart(health_policy_)) {
+  if (!shard->health.GrantRestart(options_.health)) {
     return QuarantineShard(shard, cause);
   }
-  shard_restarts_ += 1;
+  counters_.shard_restarts += 1;
   registry_->GetCounter("vdrift.fleet.shard_restarts").Increment();
   VDRIFT_RETURN_NOT_OK(RebuildShard(shard));
   ExportHealth(shard);
@@ -256,7 +254,7 @@ Status DriftFleet::QuarantineShard(Shard* shard, const Status& cause) {
   shard->quarantined_frames =
       shard->stream->total_frames() - shard->stream->position();
   if (shard->quarantined_frames < 0) shard->quarantined_frames = 0;
-  quarantined_frames_ += shard->quarantined_frames;
+  counters_.quarantined_frames += shard->quarantined_frames;
   obs::MetricsRegistry& reg = *registry_;
   reg.GetCounter("vdrift.serve.quarantined").Increment();
   reg.GetCounter("vdrift.serve.quarantine_dropped_frames",
@@ -266,8 +264,9 @@ Status DriftFleet::QuarantineShard(Shard* shard, const Status& cause) {
       .Increment(shard->quarantined_frames);
   ExportHealth(shard);
   VDRIFT_LOG_WARNING << "shard " << shard->label
-                     << " quarantined after exhausting " <<
-      options_.max_restarts << " restarts (" << shard->quarantined_frames
+                     << " quarantined after exhausting "
+                     << options_.health.max_restarts << " restarts ("
+                     << shard->quarantined_frames
                      << " frames unserved): " << cause.ToString();
   return Status::OK();
 }
@@ -294,7 +293,7 @@ Status DriftFleet::PublishShardModels(Shard* shard) {
     if (!verdict.accepted) {
       // The fleet falls back to the incumbents: the candidate stays
       // private to the shard that trained it and is never adoptable.
-      publish_rejected_ += 1;
+      counters_.publish_rejected += 1;
       registry_->GetCounter("vdrift.serve.publish_rejected").Increment();
       registry_
           ->GetCounter("vdrift.serve.publish_rejected",
@@ -309,10 +308,10 @@ Status DriftFleet::PublishShardModels(Shard* shard) {
       continue;
     }
     if (Publish(registry.at(i), sample)) {
-      models_published_ += 1;
+      counters_.models_published += 1;
       registry_->GetCounter("vdrift.fleet.models_published").Increment();
       lineage_.push_back(
-          ModelLineage{registry.at(i).name, shard->label, rounds_});
+          ModelLineage{registry.at(i).name, shard->label, counters_.rounds});
     }
   }
   shard->synced_entries = registry.size();
@@ -326,7 +325,7 @@ Status DriftFleet::AdoptPublished(Shard* shard) {
     if (shard->registry->FindByName(published.entry.name) >= 0) continue;
     VDRIFT_RETURN_NOT_OK(shard->pipeline->AdoptModel(
         published.entry, published.calibration_sample));
-    models_adopted_ += 1;
+    counters_.models_adopted += 1;
     registry_->GetCounter("vdrift.fleet.models_adopted").Increment();
   }
   shard->synced_entries = shard->registry->size();
@@ -352,26 +351,11 @@ void DriftFleet::ExportHealth(Shard* shard) {
 
 Status DriftFleet::WriteManifest(const std::deque<int>& ready) {
   FleetManifest manifest;
-  manifest.next_round = rounds_;
-  manifest.backpressure_waits = backpressure_waits_;
-  manifest.models_published = models_published_;
-  manifest.models_adopted = models_adopted_;
-  manifest.shard_restarts = shard_restarts_;
-  manifest.publish_rejected = publish_rejected_;
-  manifest.quarantined_frames = quarantined_frames_;
+  manifest.counters = counters_;
   manifest.slice_frames = options_.slice_frames;
   manifest.shards.reserve(shards_.size());
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    ShardManifest row;
-    row.label = shard->label;
-    row.checkpoint_path = shard->checkpoint_path;
-    row.health = static_cast<uint8_t>(shard->health.state);
-    row.restarts = shard->health.restarts;
-    row.backoff_remaining = shard->health.backoff_remaining;
-    row.slices = shard->slices;
-    row.fail_code = static_cast<int32_t>(shard->fail_status.code());
-    row.fail_message = shard->fail_status.message();
-    manifest.shards.push_back(std::move(row));
+    manifest.shards.push_back(*shard);
   }
   manifest.ready.assign(ready.begin(), ready.end());
   manifest.lineage = lineage_;
@@ -434,26 +418,12 @@ Status DriftFleet::ResumeFromManifest(const FleetManifest& manifest,
   // Apply. Every shard is rebuilt from its checkpoint; RebuildShard's
   // cold-start fallback keeps a damaged per-shard checkpoint from failing
   // the resume (the shard replays, deterministically).
-  rounds_ = manifest.next_round;
-  backpressure_waits_ = manifest.backpressure_waits;
-  models_published_ = manifest.models_published;
-  models_adopted_ = manifest.models_adopted;
-  shard_restarts_ = manifest.shard_restarts;
-  publish_rejected_ = manifest.publish_rejected;
-  quarantined_frames_ = manifest.quarantined_frames;
+  counters_ = manifest.counters;
   lineage_ = manifest.lineage;
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard* shard = shards_[i].get();
-    const ShardManifest& row = manifest.shards[i];
-    shard->health.state = static_cast<HealthState>(row.health);
-    shard->health.restarts = row.restarts;
-    shard->health.backoff_remaining = row.backoff_remaining;
-    shard->slices = row.slices;
-    shard->fail_status =
-        row.fail_code == 0
-            ? Status::OK()
-            : Status(static_cast<StatusCode>(row.fail_code),
-                     row.fail_message);
+    // Label and checkpoint path were checked equal above.
+    static_cast<ShardManifest&>(*shard) = manifest.shards[i];
     shard->done = shard->health.state == HealthState::kRetired;
     VDRIFT_RETURN_NOT_OK(RebuildShard(shard));
     if (shard->health.state == HealthState::kQuarantined) {
@@ -470,12 +440,6 @@ Status DriftFleet::ResumeFromManifest(const FleetManifest& manifest,
 Result<FleetReport> DriftFleet::Run() {
   if (shards_.empty()) {
     return Status::FailedPrecondition("fleet has no streams");
-  }
-  for (const CrashDrill& drill : options_.crash_drills) {
-    if (FindShard(drill.stream) == nullptr) {
-      return Status::InvalidArgument("crash drill targets unknown stream: " +
-                                     drill.stream);
-    }
   }
   for (const fault::ChaosEvent& event : options_.chaos.events) {
     if (!event.stream.empty() && FindShard(event.stream) == nullptr) {
@@ -517,7 +481,8 @@ Result<FleetReport> DriftFleet::Run() {
                          : manifest.status();
     if (applied.ok()) {
       resumed = true;
-      VDRIFT_LOG_INFO << "fleet resumed from manifest at round " << rounds_;
+      VDRIFT_LOG_INFO << "fleet resumed from manifest at round "
+                      << counters_.rounds;
     } else {
       // Self-healing: a damaged or stale manifest falls back to a fresh
       // full run, which replays every stream to the identical end state.
@@ -525,13 +490,7 @@ Result<FleetReport> DriftFleet::Run() {
       VDRIFT_LOG_WARNING << "fleet manifest resume failed, running fresh: "
                          << applied.ToString();
       ready.clear();
-      rounds_ = 0;
-      backpressure_waits_ = 0;
-      models_published_ = 0;
-      models_adopted_ = 0;
-      shard_restarts_ = 0;
-      publish_rejected_ = 0;
-      quarantined_frames_ = 0;
+      counters_ = {};
       // Keep only base-model lineage (publication order puts it first).
       lineage_.resize(static_cast<size_t>(base_models_));
       for (const std::unique_ptr<Shard>& shard : shards_) {
@@ -569,13 +528,7 @@ Result<FleetReport> DriftFleet::Run() {
   auto build_report = [this, resumed](bool halted,
                                       int64_t halted_round) {
     FleetReport report;
-    report.rounds = rounds_;
-    report.backpressure_waits = backpressure_waits_;
-    report.models_published = models_published_;
-    report.models_adopted = models_adopted_;
-    report.shard_restarts = shard_restarts_;
-    report.publish_rejected = publish_rejected_;
-    report.quarantined_frames = quarantined_frames_;
+    static_cast<FleetCounters&>(report) = counters_;
     report.halted = halted;
     report.halted_round = halted_round;
     report.resumed = resumed;
@@ -601,12 +554,11 @@ Result<FleetReport> DriftFleet::Run() {
   };
 
   while (!ready.empty() || any_parked()) {
-    const int64_t round = rounds_;
-    // Chaos events and scheduled crash drills fire between rounds, before
-    // admission. Order within a round: manifest corruption first (so a
-    // coordinator kill in the same round resumes from damaged bytes —
-    // the self-healing path), then the coordinator kill, then per-shard
-    // events in draw order.
+    const int64_t round = counters_.rounds;
+    // Chaos events fire between rounds, before admission. Order within a
+    // round: manifest corruption first (so a coordinator kill in the same
+    // round resumes from damaged bytes — the self-healing path), then the
+    // coordinator kill, then per-shard events in draw order.
     const std::vector<fault::ChaosEvent> events =
         options_.chaos.EventsAt(round);
     for (const fault::ChaosEvent& event : events) {
@@ -659,15 +611,6 @@ Result<FleetReport> DriftFleet::Run() {
           break;
       }
     }
-    for (const CrashDrill& drill : options_.crash_drills) {
-      if (drill.round != round) continue;
-      Shard* shard = FindShard(drill.stream);
-      if (!shard->health.Serving()) continue;
-      remove_from_ready(shard->index);
-      VDRIFT_RETURN_NOT_OK(KillShard(
-          shard, Status::Internal("crash drill at round " +
-                                  std::to_string(round))));
-    }
     // Admission control: up to max_concurrent shards run this round; the
     // rest stay queued and each queued shard counts one backpressure wait.
     size_t admit = std::min<size_t>(
@@ -675,7 +618,7 @@ Result<FleetReport> DriftFleet::Run() {
     std::vector<int> admitted(ready.begin(),
                               ready.begin() + static_cast<long>(admit));
     ready.erase(ready.begin(), ready.begin() + static_cast<long>(admit));
-    backpressure_waits_ += static_cast<int64_t>(ready.size());
+    counters_.backpressure_waits += static_cast<int64_t>(ready.size());
     waits_counter.Increment(static_cast<int64_t>(ready.size()));
     active_gauge.Set(static_cast<double>(admitted.size()));
     // One cooperative slice per admitted shard, in parallel. Shards share
@@ -738,10 +681,10 @@ Result<FleetReport> DriftFleet::Run() {
     for (const std::unique_ptr<Shard>& shard : shards_) {
       AggregateShard(shard.get());
     }
-    rounds_ += 1;
+    counters_.rounds += 1;
     rounds_counter.Increment();
     if (sampler_ != nullptr &&
-        rounds_ % options_.sample_interval_rounds == 0) {
+        counters_.rounds % options_.sample_interval_rounds == 0) {
       obs::MetricsWindow window = sampler_->Sample(static_cast<double>(
           reg.GetCounter("vdrift.pipeline.frames").value()));
       if (watchdog_ != nullptr) {

@@ -36,15 +36,6 @@ struct StreamSpec {
   fault::FaultInjector* injector = nullptr;
 };
 
-/// \brief A deterministic kill-and-restore drill: at the start of round
-/// `round`, the named shard's pipeline and model registry are destroyed and
-/// rebuilt from its last checkpoint, exactly as if that shard had crashed
-/// between rounds. The other shards never notice.
-struct CrashDrill {
-  std::string stream;
-  int64_t round = 0;
-};
-
 /// \brief Fleet configuration.
 struct FleetOptions {
   /// Template pipeline config applied to every shard. The fleet overrides
@@ -65,8 +56,7 @@ struct FleetOptions {
   /// crashes with the budget exhausted is quarantined: restored to its
   /// last checkpoint for exact accounting, then never scheduled again —
   /// its unserved frames are counted, not silently lost.
-  int max_restarts = 2;
-  int backoff_base = 1;
+  HealthPolicy health;
   /// Publication quality gate in front of the shared registry (rejects
   /// non-finite, uncalibrated, or below-margin models before any other
   /// shard can adopt them).
@@ -89,10 +79,11 @@ struct FleetOptions {
   std::string slo_spec;
   /// Per-window JSONL sink for the fleet sampler ("" disables).
   std::string jsonl_path;
-  /// Deterministic crash drills (tests and chaos benches).
-  std::vector<CrashDrill> crash_drills;
-  /// Seed-driven chaos schedule (kill shards, corrupt checkpoints /
-  /// manifests, kill the coordinator). Empty = no chaos.
+  /// Chaos schedule, seed-driven (ChaosPlan::FromSeed) or written by hand:
+  /// kill shards, corrupt checkpoints / manifests, kill the coordinator. A
+  /// kKillShard event at round r destroys the shard's pipeline and registry
+  /// and rebuilds them from its last checkpoint, exactly as if it had
+  /// crashed between rounds. Empty = no chaos.
   fault::ChaosPlan chaos;
 };
 
@@ -104,7 +95,7 @@ struct StreamReport {
   pipeline::PipelineMetrics metrics;  ///< Cumulative pipeline metrics.
   int64_t frames = 0;    ///< Stream cursor at the end (frames consumed).
   int64_t slices = 0;    ///< Scheduling slices the shard ran.
-  int restarts = 0;      ///< Crash drills + failed-slice restarts consumed.
+  int restarts = 0;      ///< Chaos kills + failed-slice restarts consumed.
   /// Frames the quarantine refused to serve (stream total - checkpoint
   /// cursor). Loss accounting stays exact:
   ///   metrics.count_total + metrics.degradation.frames_dropped
@@ -112,16 +103,9 @@ struct StreamReport {
   int64_t quarantined_frames = 0;
 };
 
-/// \brief Fleet-level outcome.
-struct FleetReport {
+/// \brief Fleet-level outcome: the fleet's counters plus per-stream reports.
+struct FleetReport : FleetCounters {
   std::vector<StreamReport> streams;  ///< In AddStream order.
-  int64_t rounds = 0;
-  int64_t backpressure_waits = 0;
-  int64_t models_published = 0;  ///< Entries accepted by the shared registry.
-  int64_t models_adopted = 0;    ///< Cross-stream adoptions performed.
-  int64_t shard_restarts = 0;
-  int64_t publish_rejected = 0;  ///< Models the quality gate refused.
-  int64_t quarantined_frames = 0;  ///< Sum over quarantined shards.
   /// True when a chaos kKillCoordinator event halted the run mid-fleet;
   /// the manifest on disk resumes it (construct a fresh fleet with the
   /// same options + streams and call Run() again).
@@ -222,9 +206,10 @@ class DriftFleet {
   }
 
  private:
-  /// One stream's private slice of the fleet.
-  struct Shard {
-    std::string label;
+  /// One stream's private slice of the fleet. Its ShardManifest base
+  /// (label, checkpoint path, health, slices, quarantine cause) is the
+  /// shard's row in the fleet manifest.
+  struct Shard : ShardManifest {
     video::FrameSource* stream = nullptr;
     fault::FaultInjector* injector = nullptr;
     int index = 0;  ///< AddStream order (per-shard seed derivation).
@@ -237,7 +222,6 @@ class DriftFleet {
     /// Local registry size after the last barrier; entries beyond it were
     /// trained this round and are pending publication.
     int synced_entries = 0;
-    std::string checkpoint_path;  ///< "" when checkpointing is disabled.
     /// Last aggregated value per counter family (delta folding).
     std::map<std::string, int64_t> prev_counters;
     /// DegradationStats::total_events() at the last health observation.
@@ -245,10 +229,7 @@ class DriftFleet {
     /// A per-stream SLO rule breached since the last health observation.
     bool alerted = false;
     Status slice_status = Status::OK();
-    int64_t slices = 0;
     bool done = false;  ///< Stream exhausted cleanly (health kRetired).
-    ShardHealth health;
-    Status fail_status = Status::OK();  ///< Quarantine cause.
     int64_t quarantined_frames = 0;
   };
 
@@ -292,7 +273,6 @@ class DriftFleet {
                             std::deque<int>* ready);
 
   FleetOptions options_;
-  HealthPolicy health_policy_;
   /// Written and read on the fleet thread only (AddBaseModel, AddStream
   /// and the barrier), never inside a slice, so it needs no lock.
   std::vector<PublishedModel> published_;
@@ -302,13 +282,7 @@ class DriftFleet {
   std::shared_ptr<obs::HealthWatchdog> watchdog_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<ModelLineage> lineage_;  ///< In publication order.
-  int64_t rounds_ = 0;
-  int64_t backpressure_waits_ = 0;
-  int64_t models_published_ = 0;
-  int64_t models_adopted_ = 0;
-  int64_t shard_restarts_ = 0;
-  int64_t publish_rejected_ = 0;
-  int64_t quarantined_frames_ = 0;
+  FleetCounters counters_;
 };
 
 }  // namespace vdrift::serve

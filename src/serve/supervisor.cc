@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <string_view>
+#include <utility>
 
 #include "common/binio.h"
 #include "common/logging.h"
@@ -136,24 +137,25 @@ GateVerdict EvaluatePublication(
 
 std::string EncodeFleetManifest(const FleetManifest& manifest) {
   BinaryWriter payload;
-  payload.WriteI64(manifest.next_round);
-  payload.WriteI64(manifest.backpressure_waits);
-  payload.WriteI64(manifest.models_published);
-  payload.WriteI64(manifest.models_adopted);
-  payload.WriteI64(manifest.shard_restarts);
-  payload.WriteI64(manifest.publish_rejected);
-  payload.WriteI64(manifest.quarantined_frames);
+  const FleetCounters& counters = manifest.counters;
+  payload.WriteI64(counters.rounds);
+  payload.WriteI64(counters.backpressure_waits);
+  payload.WriteI64(counters.models_published);
+  payload.WriteI64(counters.models_adopted);
+  payload.WriteI64(counters.shard_restarts);
+  payload.WriteI64(counters.publish_rejected);
+  payload.WriteI64(counters.quarantined_frames);
   payload.WriteI64(manifest.slice_frames);
   payload.WriteU64(manifest.shards.size());
   for (const ShardManifest& shard : manifest.shards) {
     payload.WriteString(shard.label);
     payload.WriteString(shard.checkpoint_path);
-    payload.WriteU8(shard.health);
-    payload.WriteI32(shard.restarts);
-    payload.WriteI64(shard.backoff_remaining);
+    payload.WriteU8(static_cast<uint8_t>(shard.health.state));
+    payload.WriteI32(shard.health.restarts);
+    payload.WriteI64(shard.health.backoff_remaining);
     payload.WriteI64(shard.slices);
-    payload.WriteI32(shard.fail_code);
-    payload.WriteString(shard.fail_message);
+    payload.WriteI32(static_cast<int32_t>(shard.fail_status.code()));
+    payload.WriteString(shard.fail_status.message());
   }
   payload.WriteI64Vec(manifest.ready);
   payload.WriteU64(manifest.lineage.size());
@@ -171,13 +173,14 @@ Result<FleetManifest> DecodeFleetManifest(const std::string& bytes) {
       OpenRecord(bytes, kMagic, kVersion, "fleet manifest"));
   BinaryReader reader(payload);
   FleetManifest manifest;
-  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&manifest.next_round));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&manifest.backpressure_waits));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&manifest.models_published));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&manifest.models_adopted));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&manifest.shard_restarts));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&manifest.publish_rejected));
-  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&manifest.quarantined_frames));
+  FleetCounters& counters = manifest.counters;
+  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&counters.rounds));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&counters.backpressure_waits));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&counters.models_published));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&counters.models_adopted));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&counters.shard_restarts));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&counters.publish_rejected));
+  VDRIFT_RETURN_NOT_OK(reader.ReadI64(&counters.quarantined_frames));
   VDRIFT_RETURN_NOT_OK(reader.ReadI64(&manifest.slice_frames));
   uint64_t shard_count = 0;
   VDRIFT_RETURN_NOT_OK(reader.ReadU64(&shard_count));
@@ -190,16 +193,22 @@ Result<FleetManifest> DecodeFleetManifest(const std::string& bytes) {
   for (ShardManifest& shard : manifest.shards) {
     VDRIFT_RETURN_NOT_OK(reader.ReadString(&shard.label));
     VDRIFT_RETURN_NOT_OK(reader.ReadString(&shard.checkpoint_path));
-    VDRIFT_RETURN_NOT_OK(reader.ReadU8(&shard.health));
-    if (shard.health > static_cast<uint8_t>(HealthState::kRetired)) {
+    uint8_t state = 0;
+    VDRIFT_RETURN_NOT_OK(reader.ReadU8(&state));
+    if (state > static_cast<uint8_t>(HealthState::kRetired)) {
       return Status::DataLoss("fleet manifest has invalid health state " +
-                              std::to_string(shard.health));
+                              std::to_string(state));
     }
-    VDRIFT_RETURN_NOT_OK(reader.ReadI32(&shard.restarts));
-    VDRIFT_RETURN_NOT_OK(reader.ReadI64(&shard.backoff_remaining));
+    shard.health.state = static_cast<HealthState>(state);
+    VDRIFT_RETURN_NOT_OK(reader.ReadI32(&shard.health.restarts));
+    VDRIFT_RETURN_NOT_OK(reader.ReadI64(&shard.health.backoff_remaining));
     VDRIFT_RETURN_NOT_OK(reader.ReadI64(&shard.slices));
-    VDRIFT_RETURN_NOT_OK(reader.ReadI32(&shard.fail_code));
-    VDRIFT_RETURN_NOT_OK(reader.ReadString(&shard.fail_message));
+    int32_t fail_code = 0;
+    std::string fail_message;
+    VDRIFT_RETURN_NOT_OK(reader.ReadI32(&fail_code));
+    VDRIFT_RETURN_NOT_OK(reader.ReadString(&fail_message));
+    shard.fail_status =
+        Status(static_cast<StatusCode>(fail_code), std::move(fail_message));
   }
   VDRIFT_RETURN_NOT_OK(reader.ReadI64Vec(&manifest.ready));
   for (int64_t index : manifest.ready) {

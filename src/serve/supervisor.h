@@ -37,10 +37,10 @@ enum class HealthState : uint8_t {
 /// Lowercase display name ("healthy", "degraded", ...).
 const char* HealthStateName(HealthState state);
 
-/// \brief Restart budget knobs (FleetOptions carries one per fleet).
+/// \brief Restart budget knobs (FleetOptions::health).
 struct HealthPolicy {
-  /// Restarts (crash drills, chaos kills, failed slices) a shard may
-  /// consume before its next crash quarantines it.
+  /// Restarts (chaos kills, failed slices) a shard may consume before its
+  /// next crash quarantines it.
   int max_restarts = 2;
   /// Exponential backoff: restart k parks the shard for
   /// backoff_base << (k-1) rounds before readmission (0 disables parking).
@@ -80,6 +80,8 @@ struct ShardHealth {
 
   /// Stream exhausted cleanly.
   void Retire();
+
+  bool operator==(const ShardHealth&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -129,16 +131,14 @@ GateVerdict EvaluatePublication(
 // Fleet manifest (coordinator crash recovery)
 // ---------------------------------------------------------------------------
 
-/// \brief One shard's row in the fleet manifest.
+/// \brief One shard's row in the fleet manifest. DriftFleet's shards
+/// derive from it, so the manifest saves and restores the row whole.
 struct ShardManifest {
   std::string label;
-  std::string checkpoint_path;
-  uint8_t health = 0;  ///< HealthState numeric value.
-  int32_t restarts = 0;
-  int64_t backoff_remaining = 0;
-  int64_t slices = 0;
-  int32_t fail_code = 0;  ///< StatusCode of the quarantine cause (0 = OK).
-  std::string fail_message;
+  std::string checkpoint_path;  ///< "" when checkpointing is disabled.
+  ShardHealth health;
+  int64_t slices = 0;  ///< Scheduling slices the shard ran.
+  Status fail_status = Status::OK();  ///< Quarantine cause.
 };
 
 /// \brief Published-model lineage: who trained what, and when.
@@ -148,17 +148,26 @@ struct ModelLineage {
   int64_t round = -1;     ///< Barrier round of publication (-1 for base).
 };
 
+/// \brief The fleet's cumulative counters. DriftFleet runs on this struct,
+/// the manifest saves it whole and FleetReport reports it as its base.
+struct FleetCounters {
+  /// Round barriers completed: the first round a resumed fleet runs.
+  int64_t rounds = 0;
+  int64_t backpressure_waits = 0;
+  int64_t models_published = 0;  ///< Entries accepted by the shared registry.
+  int64_t models_adopted = 0;    ///< Cross-stream adoptions performed.
+  int64_t shard_restarts = 0;
+  int64_t publish_rejected = 0;  ///< Models the quality gate refused.
+  int64_t quarantined_frames = 0;  ///< Sum over quarantined shards.
+
+  bool operator==(const FleetCounters&) const = default;
+};
+
 /// \brief Everything DriftFleet needs to continue after a coordinator
 /// crash. Written atomically at every round barrier; per-shard pipeline
 /// state lives in the per-shard checkpoints this manifest points at.
 struct FleetManifest {
-  int64_t next_round = 0;  ///< First round the resumed fleet will run.
-  int64_t backpressure_waits = 0;
-  int64_t models_published = 0;
-  int64_t models_adopted = 0;
-  int64_t shard_restarts = 0;
-  int64_t publish_rejected = 0;
-  int64_t quarantined_frames = 0;
+  FleetCounters counters;
   int64_t slice_frames = 0;  ///< Config fingerprint; must match on resume.
   std::vector<ShardManifest> shards;  ///< In AddStream order.
   std::vector<int64_t> ready;  ///< Shard indices in ready-queue order.

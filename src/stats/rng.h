@@ -60,6 +60,8 @@ class Rng {
     uint64_t inc = 0;
     bool has_spare = false;
     double spare = 0.0;
+
+    bool operator==(const State&) const = default;
   };
 
   /// The current state (for checkpointing).
@@ -72,6 +74,8 @@ class Rng {
     has_spare_ = s.has_spare;
     spare_ = s.spare;
   }
+
+  bool operator==(const Rng&) const = default;
 
  private:
   uint64_t state_;

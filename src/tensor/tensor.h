@@ -127,6 +127,9 @@ class Tensor {
   /// Sets every element to 0.
   void Zero() { Fill(0.0f); }
 
+  /// Same shape and bit-equal elements (NaN never equals itself).
+  bool operator==(const Tensor&) const = default;
+
  private:
   Shape shape_;
   std::vector<float> data_;

@@ -20,6 +20,8 @@ struct ObjectTruth {
   float cy = 0.0f;  ///< Center y.
   float w = 0.0f;   ///< Width.
   float h = 0.0f;   ///< Height.
+
+  bool operator==(const ObjectTruth&) const = default;
 };
 
 /// \brief Full ground truth for a frame, produced by the scene generator.
@@ -39,12 +41,16 @@ struct FrameTruth {
   /// True iff some bus is strictly left of some car — the paper's spatial
   /// query predicate "bus is on the left side of a car" (§6.3.2).
   bool BusLeftOfCar() const;
+
+  bool operator==(const FrameTruth&) const = default;
 };
 
 /// \brief One video frame: pixels plus ground truth.
 struct Frame {
   tensor::Tensor pixels;  ///< [channels, H, W] grayscale in [0, 1].
   FrameTruth truth;
+
+  bool operator==(const Frame&) const = default;
 };
 
 }  // namespace vdrift::video

@@ -307,6 +307,30 @@ TEST(BinIoTest, RoundTripsAllTypes) {
   EXPECT_EQ(reader.remaining(), 0u);
 }
 
+TEST(BinIoTest, RoundTripsEmptyStringAndVectors) {
+  // Empty vectors may have a null data(); the reader must not hand that
+  // pointer to memcpy (undefined even for 0 bytes, caught by UBSan).
+  BinaryWriter writer;
+  writer.WriteString("");
+  writer.WriteDoubleVec({});
+  writer.WriteFloatVec({});
+  writer.WriteI64Vec({});
+  BinaryReader reader(writer.bytes());
+  std::string s = "x";
+  std::vector<double> dv;  // data() is null until something is stored
+  std::vector<float> fv;
+  std::vector<int64_t> iv;
+  ASSERT_TRUE(reader.ReadString(&s).ok());
+  ASSERT_TRUE(reader.ReadDoubleVec(&dv).ok());
+  ASSERT_TRUE(reader.ReadFloatVec(&fv).ok());
+  ASSERT_TRUE(reader.ReadI64Vec(&iv).ok());
+  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(dv.empty());
+  EXPECT_TRUE(fv.empty());
+  EXPECT_TRUE(iv.empty());
+  EXPECT_EQ(reader.remaining(), 0u);
+}
+
 TEST(BinIoTest, TruncationIsDataLossNotUb) {
   BinaryWriter writer;
   writer.WriteString("a long enough payload");
@@ -356,59 +380,82 @@ TEST(BinIoTest, Crc32IsTheZlibCrcAtEveryLengthAndSplit) {
 pipeline::PipelineCheckpoint MakeCheckpoint() {
   pipeline::PipelineCheckpoint cp;
   cp.registry_fingerprint = {"Angle 1", "Angle 2"};
-  cp.deployed = 1;
-  cp.drift_oblivious = false;
-  cp.consecutive_selection_failures = 2;
-  cp.pipeline_rng = {0x123456789abcdef0ULL, 0x42ULL, true, 0.5};
+  cp.stream_cursor = 456;
   cp.inspector.frames_seen = 321;
   cp.inspector.rng = {7, 9, false, 0.0};
   cp.inspector.martingale = {1.5, 321, 0.25, 0.01, {0.0, 0.5, 1.5}};
-  cp.calibration.pc_avg = {0.1, 0.2};
-  cp.calibration.sigma = {0.01, 0.02};
-  cp.calibration.global_h = 0.15;
-  cp.calibrated = true;
-  cp.stream_cursor = 456;
-  cp.frames = 456;
-  cp.drifts_detected = 3;
-  cp.new_models_trained = 1;
-  cp.drift_frames = {100, 200, 300};
-  cp.selections = {"Angle 2", "<incumbent>", "learned-0"};
-  cp.selection_invocations = 77;
-  cp.per_sequence[0] = {10, 12, 5, 6, 12};
-  cp.per_sequence[3] = {1, 2, 0, 0, 2};
-  cp.degradation.frames_dropped = 4;
-  cp.degradation.selector_retries = 1;
+  pipeline::PipelineState& state = cp.state;
+  state.deployed = 1;
+  state.consecutive_selection_failures = 2;
+  state.rng.set_state({0x123456789abcdef0ULL, 0x42ULL, true, 0.5});
+  state.calibration.pc_avg = {0.1, 0.2};
+  state.calibration.sigma = {0.01, 0.02};
+  state.calibration.global_h = 0.15;
+  state.calibrated = true;
+  state.last_sequence_id = 3;
+  state.frames_since_sequence_change = 17;
+  state.last_p_value = 0.125;
+  state.recovery.phase = pipeline::DriftRecovery::Phase::kWindow;
+  state.recovery.target = 12;
+  state.recovery.backoff = 8;
+  state.recovery.attempt = 1;
+  state.recovery.initial_collect = false;
+  video::Frame frame;
+  frame.pixels = tensor::Tensor(tensor::Shape{1, 2, 2}, {0.f, .25f, .5f, 1.f});
+  frame.truth.sequence_id = 3;
+  frame.truth.frame_index = 440;
+  frame.truth.objects = {{video::ObjectClass::kBus, 0.5f, 0.25f, 0.1f, 0.2f}};
+  state.recovery.window = {frame, frame};
+  pipeline::PipelineCounters& counters = cp.counters;
+  counters.frames = 456;
+  counters.drifts_detected = 3;
+  counters.new_models_trained = 1;
+  counters.drift_frames = {100, 200, 300};
+  counters.detect_lags = {4, 9, 2};
+  counters.selections = {"Angle 2", "<incumbent>", "learned-0"};
+  counters.selection_invocations = 77;
+  counters.per_sequence[0] = {10, 12, 5, 6, 12};
+  counters.per_sequence[3] = {1, 2, 0, 0, 2};
+  counters.degradation.frames_dropped = 4;
+  counters.degradation.selector_retries = 1;
+  counters.degradation.drift_oblivious = true;
   return cp;
 }
 
 TEST(CheckpointCodecTest, RoundTripsEveryField) {
+  // Whole-struct comparisons cover every field, so a field added to
+  // PipelineState, PipelineCounters or the checkpoint needs only a
+  // non-default value in MakeCheckpoint to show whether the codec keeps it.
   pipeline::PipelineCheckpoint cp = MakeCheckpoint();
   Result<pipeline::PipelineCheckpoint> decoded =
       pipeline::DecodeCheckpoint(pipeline::EncodeCheckpoint(cp));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   const pipeline::PipelineCheckpoint& out = decoded.value();
-  EXPECT_EQ(out.registry_fingerprint, cp.registry_fingerprint);
-  EXPECT_EQ(out.deployed, cp.deployed);
-  EXPECT_EQ(out.consecutive_selection_failures,
-            cp.consecutive_selection_failures);
-  EXPECT_EQ(out.pipeline_rng.state, cp.pipeline_rng.state);
-  EXPECT_EQ(out.pipeline_rng.has_spare, cp.pipeline_rng.has_spare);
-  EXPECT_DOUBLE_EQ(out.pipeline_rng.spare, cp.pipeline_rng.spare);
-  EXPECT_EQ(out.inspector.frames_seen, cp.inspector.frames_seen);
-  EXPECT_EQ(out.inspector.martingale.history, cp.inspector.martingale.history);
-  EXPECT_DOUBLE_EQ(out.inspector.martingale.current,
-                   cp.inspector.martingale.current);
-  EXPECT_EQ(out.calibration.pc_avg, cp.calibration.pc_avg);
-  EXPECT_DOUBLE_EQ(out.calibration.global_h, cp.calibration.global_h);
-  EXPECT_EQ(out.calibrated, cp.calibrated);
-  EXPECT_EQ(out.stream_cursor, cp.stream_cursor);
-  EXPECT_EQ(out.frames, cp.frames);
-  EXPECT_EQ(out.drift_frames, cp.drift_frames);
-  EXPECT_EQ(out.selections, cp.selections);
-  ASSERT_EQ(out.per_sequence.size(), cp.per_sequence.size());
-  EXPECT_EQ(out.per_sequence.at(3).count_total, 2);
-  EXPECT_EQ(out.degradation.frames_dropped, 4);
-  EXPECT_EQ(out.degradation.selector_retries, 1);
+  EXPECT_TRUE(out.state == cp.state);
+  EXPECT_TRUE(out.counters == cp.counters);
+  EXPECT_TRUE(out.inspector == cp.inspector);
+  EXPECT_TRUE(out == cp);
+}
+
+TEST(CheckpointCodecTest, DisagreeingDriftObliviousCopiesAreDataLoss) {
+  // Version 2 stores the one drift-oblivious flag at two offsets. Clear the
+  // first copy (after the fingerprint and the i32 deployed index) and
+  // reseal, so only the disagreement can fail the decode.
+  pipeline::PipelineCheckpoint cp = MakeCheckpoint();
+  const std::string bytes = pipeline::EncodeCheckpoint(cp);
+  std::string payload(
+      OpenRecord(bytes, "VDCKPT01", 2, "checkpoint").ValueOrDie());
+  size_t offset = sizeof(uint32_t);
+  for (const std::string& name : cp.registry_fingerprint) {
+    offset += sizeof(uint64_t) + name.size();
+  }
+  offset += sizeof(int32_t);
+  ASSERT_EQ(payload[offset], 1);
+  payload[offset] = 0;
+  Result<pipeline::PipelineCheckpoint> decoded =
+      pipeline::DecodeCheckpoint(SealRecord("VDCKPT01", 2, payload));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
 }
 
 TEST(CheckpointCodecTest, InjectedCorruptionIsAlwaysDetected) {
@@ -528,12 +575,12 @@ TEST(CheckpointCodecTest, AtomicWriteSurvivesCleanRewrite) {
   pipeline::PipelineCheckpoint cp = MakeCheckpoint();
   std::string path = ::testing::TempDir() + "/vdrift_ckpt_clean_test.bin";
   ASSERT_TRUE(pipeline::WriteCheckpointFile(cp, path, nullptr).ok());
-  cp.frames += 1;
+  cp.counters.frames += 1;
   ASSERT_TRUE(pipeline::WriteCheckpointFile(cp, path, nullptr).ok());
   Result<pipeline::PipelineCheckpoint> r =
       pipeline::ReadCheckpointFile(path, nullptr);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.value().frames, cp.frames);
+  EXPECT_EQ(r.value().counters.frames, cp.counters.frames);
   std::remove(path.c_str());
 }
 

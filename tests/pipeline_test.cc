@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "benchutil/workbench.h"
+#include "common/binio.h"
 #include "common/env.h"
 #include "fault/fault.h"
 #include "fault/faulty_stream.h"
@@ -489,6 +490,60 @@ TEST_F(PipelineFixture, ResumeMidRecoveryRebuildsLagClockAndHistogram) {
   EXPECT_EQ(actual.sum, expected.sum);
   EXPECT_EQ(actual.buckets, expected.buckets);
   std::remove(path.c_str());
+}
+
+TEST_F(PipelineFixture, ResumeThenCheckpointWritesTheSameBytes) {
+  // A resume must restore everything a checkpoint saves: checkpointing a
+  // freshly resumed pipeline writes the file it resumed from, byte for
+  // byte. Cut once with drift handling parked across a slice (buffered
+  // frames included) and once after a drift was handled.
+  PipelineConfig config = BaseConfig(PipelineConfig::Selector::kMsbo);
+  const int64_t total = bench_->dataset.total_frames();
+  video::StreamGenerator stream = bench_->dataset.MakeStream();
+  DriftAwarePipeline pipeline(&bench_->registry, bench_->calibration_samples,
+                              config);
+  RunOptions slice;
+  slice.max_frames = 7;
+  auto expect_round_trip = [&](const std::string& tag) {
+    const std::string saved =
+        ::testing::TempDir() + "/vdrift_roundtrip_" + tag + ".ckpt";
+    const std::string again =
+        ::testing::TempDir() + "/vdrift_roundtrip_" + tag + "_again.ckpt";
+    ASSERT_TRUE(pipeline.Checkpoint(saved, stream).ok());
+    video::StreamGenerator fresh_stream = bench_->dataset.MakeStream();
+    DriftAwarePipeline fresh(&bench_->registry, bench_->calibration_samples,
+                             config);
+    Status resumed = fresh.Resume(saved, &fresh_stream);
+    ASSERT_TRUE(resumed.ok()) << resumed.ToString();
+    ASSERT_TRUE(fresh.Checkpoint(again, fresh_stream).ok());
+    const std::string first = ReadFileToString(saved).ValueOrDie();
+    const std::string second = ReadFileToString(again).ValueOrDie();
+    EXPECT_EQ(first.size(), second.size()) << tag;
+    EXPECT_TRUE(first == second) << tag << ": resume lost saved state";
+    std::remove(saved.c_str());
+    std::remove(again.c_str());
+  };
+
+  while (!pipeline.recovery_pending()) {
+    ASSERT_LT(stream.position(), total)
+        << "stream ended before any drift parked across a slice";
+    ASSERT_TRUE(pipeline.Run(&stream, slice).ok());
+  }
+  const std::string parked = ::testing::TempDir() + "/vdrift_parked.ckpt";
+  ASSERT_TRUE(pipeline.Checkpoint(parked, stream).ok());
+  Result<PipelineCheckpoint> checkpoint = ReadCheckpointFile(parked, nullptr);
+  std::remove(parked.c_str());
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  ASSERT_FALSE(checkpoint.value().state.recovery.window.empty())
+      << "the parked checkpoint buffers no frames";
+  expect_round_trip("parked");
+
+  while (pipeline.recovery_pending()) {
+    ASSERT_LT(stream.position(), total);
+    ASSERT_TRUE(pipeline.Run(&stream, slice).ok());
+  }
+  ASSERT_FALSE(pipeline.metrics().selections.empty());
+  expect_round_trip("handled");
 }
 
 TEST_F(PipelineFixture, StaticDetectorPredicateScoresSharedEncoding) {

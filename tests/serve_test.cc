@@ -254,14 +254,14 @@ TEST_F(FleetFixture, SingleStreamFaultsDoNotPerturbTheRestOfTheFleet) {
   }
 }
 
-TEST_F(FleetFixture, CrashDrillRestoresAShardBitIdentically) {
+TEST_F(FleetFixture, ChaosKillRestoresAShardBitIdentically) {
   std::string dir = ::testing::TempDir() + "/vdrift_fleet_ckpt";
   ::mkdir(dir.c_str(), 0755);
   FleetOptions options = BaseOptions();
   options.max_concurrent = 3;
   options.checkpoint_dir = dir;
   FleetRun baseline = RunTokyoFleet(options, 3);
-  options.crash_drills.push_back({"s1", 2});
+  options.chaos.events.push_back({fault::ChaosKind::kKillShard, 2, "s1"});
   FleetRun drilled = RunTokyoFleet(options, 3);
   ASSERT_EQ(drilled.report.streams.size(), 3u);
   EXPECT_EQ(drilled.report.shard_restarts, 1);
@@ -529,18 +529,6 @@ TEST_F(FleetWiringTest, RejectsBadWiring) {
             StatusCode::kInvalidArgument);
 }
 
-TEST_F(FleetWiringTest, CrashDrillAgainstUnknownStreamIsAnError) {
-  video::SyntheticDataset ds = video::MakeBddSynthetic(0.002);
-  video::StreamGenerator stream = ds.MakeStream();
-  FleetOptions options;
-  options.pipeline.provision = benchutil::DefaultWorkbenchOptions().provision;
-  options.crash_drills.push_back({"ghost", 1});
-  DriftFleet fleet(options);
-  ASSERT_TRUE(fleet.AddBaseModel(*day_, *sample_).ok());
-  ASSERT_TRUE(fleet.AddStream({"s0", &stream, nullptr}).ok());
-  EXPECT_EQ(fleet.Run().status().code(), StatusCode::kInvalidArgument);
-}
-
 // --- Supervision: health state machine, quarantine, publication gate,
 // --- and coordinator crash recovery.
 
@@ -707,29 +695,28 @@ TEST(PublicationGateTest, VerdictsCoverEveryRejectionReason) {
 
 FleetManifest MakeManifest() {
   FleetManifest manifest;
-  manifest.next_round = 7;
-  manifest.backpressure_waits = 3;
-  manifest.models_published = 2;
-  manifest.models_adopted = 4;
-  manifest.shard_restarts = 1;
-  manifest.publish_rejected = 5;
-  manifest.quarantined_frames = 216;
+  manifest.counters.rounds = 7;
+  manifest.counters.backpressure_waits = 3;
+  manifest.counters.models_published = 2;
+  manifest.counters.models_adopted = 4;
+  manifest.counters.shard_restarts = 1;
+  manifest.counters.publish_rejected = 5;
+  manifest.counters.quarantined_frames = 216;
   manifest.slice_frames = 48;
   ShardManifest s0;
   s0.label = "s0";
   s0.checkpoint_path = "/tmp/s0.ckpt";
-  s0.health = static_cast<uint8_t>(HealthState::kDegraded);
-  s0.restarts = 1;
-  s0.backoff_remaining = 2;
+  s0.health.state = HealthState::kDegraded;
+  s0.health.restarts = 1;
+  s0.health.backoff_remaining = 2;
   s0.slices = 9;
   ShardManifest s1;
   s1.label = "s1";
   s1.checkpoint_path = "/tmp/s1.ckpt";
-  s1.health = static_cast<uint8_t>(HealthState::kQuarantined);
-  s1.restarts = 2;
+  s1.health.state = HealthState::kQuarantined;
+  s1.health.restarts = 2;
   s1.slices = 4;
-  s1.fail_code = static_cast<int32_t>(StatusCode::kInternal);
-  s1.fail_message = "chaos kill at round 5";
+  s1.fail_status = Status::Internal("chaos kill at round 5");
   manifest.shards = {s0, s1};
   manifest.ready = {1, 0};
   manifest.lineage = {{"Day", "", -1}, {"s0.learned-0", "s0", 3}};
@@ -742,26 +729,17 @@ TEST(FleetManifestTest, CodecRoundTripsEveryField) {
   Result<FleetManifest> decoded = DecodeFleetManifest(bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   const FleetManifest& out = decoded.value();
-  EXPECT_EQ(out.next_round, manifest.next_round);
-  EXPECT_EQ(out.backpressure_waits, manifest.backpressure_waits);
-  EXPECT_EQ(out.models_published, manifest.models_published);
-  EXPECT_EQ(out.models_adopted, manifest.models_adopted);
-  EXPECT_EQ(out.shard_restarts, manifest.shard_restarts);
-  EXPECT_EQ(out.publish_rejected, manifest.publish_rejected);
-  EXPECT_EQ(out.quarantined_frames, manifest.quarantined_frames);
+  EXPECT_TRUE(out.counters == manifest.counters);
   EXPECT_EQ(out.slice_frames, manifest.slice_frames);
   EXPECT_EQ(out.ready, manifest.ready);
   ASSERT_EQ(out.shards.size(), 2u);
   EXPECT_EQ(out.shards[0].label, "s0");
   EXPECT_EQ(out.shards[0].checkpoint_path, "/tmp/s0.ckpt");
-  EXPECT_EQ(out.shards[0].health,
-            static_cast<uint8_t>(HealthState::kDegraded));
-  EXPECT_EQ(out.shards[0].restarts, 1);
-  EXPECT_EQ(out.shards[0].backoff_remaining, 2);
+  EXPECT_TRUE(out.shards[0].health == manifest.shards[0].health);
+  EXPECT_TRUE(out.shards[1].health == manifest.shards[1].health);
   EXPECT_EQ(out.shards[0].slices, 9);
-  EXPECT_EQ(out.shards[1].fail_code,
-            static_cast<int32_t>(StatusCode::kInternal));
-  EXPECT_EQ(out.shards[1].fail_message, "chaos kill at round 5");
+  EXPECT_EQ(out.shards[1].fail_status.code(), StatusCode::kInternal);
+  EXPECT_EQ(out.shards[1].fail_status.message(), "chaos kill at round 5");
   ASSERT_EQ(out.lineage.size(), 2u);
   EXPECT_EQ(out.lineage[0].name, "Day");
   EXPECT_EQ(out.lineage[0].round, -1);
@@ -780,7 +758,7 @@ TEST(FleetManifestTest, TruncationPaddingAndBadStatesAreDataLoss) {
             StatusCode::kDataLoss);
   // An undefined health-state byte is diagnosed, not cast blindly.
   FleetManifest bad_health = MakeManifest();
-  bad_health.shards[0].health = 9;
+  bad_health.shards[0].health.state = static_cast<HealthState>(9);
   EXPECT_EQ(DecodeFleetManifest(EncodeFleetManifest(bad_health))
                 .status()
                 .code(),
@@ -800,12 +778,12 @@ TEST_F(FleetFixture, ExhaustedRestartBudgetQuarantinesWithExactBooks) {
   FleetOptions options = BaseOptions();
   options.max_concurrent = 3;
   options.checkpoint_dir = dir;
-  options.max_restarts = 1;
+  options.health.max_restarts = 1;
   FleetRun baseline = RunTokyoFleet(options, 3);
   // Two kills against s1: the first consumes the whole restart budget,
   // the second quarantines the shard.
-  options.crash_drills.push_back({"s1", 2});
-  options.crash_drills.push_back({"s1", 4});
+  options.chaos.events.push_back({fault::ChaosKind::kKillShard, 2, "s1"});
+  options.chaos.events.push_back({fault::ChaosKind::kKillShard, 4, "s1"});
   FleetRun drilled = RunTokyoFleet(options, 3);
   ASSERT_EQ(drilled.report.streams.size(), 3u);
   const StreamReport& q = drilled.report.streams[1];
