@@ -129,11 +129,7 @@ int main() {
     // --- ODIN-Detect over the whole stream (all clusters seeded). ---
     const conformal::DistributionProfile& encoder =
         *bench->registry.at(0).profile;
-    baseline::OdinDetect odin(baseline::OdinConfig{},
-                              static_cast<int>(
-                                  encoder.Encode(bench->training_frames[0][0]
-                                                     .pixels)
-                                      .size()));
+    baseline::OdinDetect odin(baseline::OdinConfig{}, encoder.encoded_dim());
     for (int i = 0; i < bench->registry.size(); ++i) {
       std::vector<std::vector<float>> latents;
       for (const video::Frame& f :

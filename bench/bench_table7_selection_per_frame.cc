@@ -63,9 +63,7 @@ int main() {
   // ODIN-Select: per-frame cluster assignment over all 5 clusters.
   const conformal::DistributionProfile& encoder =
       *bench->registry.at(0).profile;
-  baseline::OdinDetect odin(
-      baseline::OdinConfig{},
-      static_cast<int>(encoder.Encode(window[0].pixels).size()));
+  baseline::OdinDetect odin(baseline::OdinConfig{}, encoder.encoded_dim());
   for (int i = 0; i < bench->registry.size(); ++i) {
     std::vector<std::vector<float>> latents;
     for (const video::Frame& f :

@@ -102,10 +102,7 @@ int main() {
     // ODIN-Select: cluster assignment on every stream frame.
     const conformal::DistributionProfile& encoder =
         *bench->registry.at(0).profile;
-    baseline::OdinDetect odin(
-        baseline::OdinConfig{},
-        static_cast<int>(
-            encoder.Encode(bench->training_frames[0][0].pixels).size()));
+    baseline::OdinDetect odin(baseline::OdinConfig{}, encoder.encoded_dim());
     for (int i = 0; i < m; ++i) {
       std::vector<std::vector<float>> latents;
       for (const video::Frame& f :

@@ -68,12 +68,19 @@ double OdinCluster::KlAfterAdding(double distance) const {
 
 OdinDetect::OdinDetect(const OdinConfig& config, int dim)
     : config_(config), dim_(dim) {
+  // vdrift-lint: allow(no-data-dependent-check): ctor config contract
   VDRIFT_CHECK(dim_ > 0);
 }
 
 int OdinDetect::AddPermanentCluster(
     const std::vector<std::vector<float>>& latents, int model_index) {
+  // vdrift-lint: allow(no-data-dependent-check): caller seeds every cluster
   VDRIFT_CHECK(!latents.empty());
+  for (const auto& z : latents) {
+    // vdrift-lint: allow(no-data-dependent-check): encoder wiring contract
+    VDRIFT_CHECK(static_cast<int>(z.size()) == dim_)
+        << "latent width " << z.size() << " != cluster width " << dim_;
+  }
   OdinCluster cluster(dim_, config_);
   for (const auto& z : latents) cluster.Add(z);
   cluster.set_model_index(model_index);
@@ -87,6 +94,9 @@ OdinObservation OdinDetect::Observe(std::span<const float> latent) {
   // so the flight recorder captures it on the timeline.
   obs::TraceSpan span(&obs::Global(), "vdrift.odin.observe_seconds");
   obs::Global().GetCounter("vdrift.odin.frames").Increment();
+  // vdrift-lint: allow(no-data-dependent-check): encoder wiring contract
+  VDRIFT_CHECK(static_cast<int>(latent.size()) == dim_)
+      << "latent width " << latent.size() << " != cluster width " << dim_;
   OdinObservation observation;
   // Try every permanent cluster (this per-cluster scan is ODIN's per-frame
   // cost driver — §6.2.2 reports ~3.2 ms per cluster per frame).

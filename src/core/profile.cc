@@ -107,6 +107,11 @@ std::vector<float> DistributionProfile::Encode(
   return Augment(vae_->EncodeMean(pixels), pixels);
 }
 
+int DistributionProfile::encoded_dim() const {
+  return vae_->config().latent_dim +
+         (stats_weight_ == 0.0 ? 0 : video::kNumFrameStats);
+}
+
 std::vector<float> DistributionProfile::EncodeSampled(
     const tensor::Tensor& pixels, stats::Rng* rng) const {
   return Augment(vae_->EncodeSample(pixels, rng), pixels);

@@ -71,6 +71,10 @@ class DistributionProfile {
   /// shared encoder (same representation as DI, for a fair comparison).
   std::vector<float> Encode(const tensor::Tensor& pixels) const;
 
+  /// Length of every vector Encode and EncodeSampled return: the VAE
+  /// latent plus, when augmented, the video::kNumFrameStats statistics.
+  int encoded_dim() const;
+
   /// Encodes a frame the same way Sigma_Ti was generated — one sampled
   /// posterior draw. The Drift Inspector scores incoming frames with this
   /// so that, on the profile's own distribution, a_f is exchangeable with

@@ -163,6 +163,18 @@ TEST(OdinDetectTest, ModelsDeduplicated) {
   }
 }
 
+TEST(OdinDetectDeathTest, RejectsALatentOfTheWrongWidth) {
+  // A width mismatch (e.g. clusters sized by the bare VAE latent while the
+  // encoder appends frame statistics) must abort in every build type, not
+  // read past the centroid.
+  Rng rng(6);
+  OdinDetect odin(OdinConfig{}, 2);
+  EXPECT_DEATH(odin.AddPermanentCluster({{0.0f, 0.0f, 0.0f}}, 0), "width");
+  odin.AddPermanentCluster(Cloud(40, 0.0f, 0.0f, 0.3f, &rng), 0);
+  EXPECT_DEATH(odin.Observe(std::vector<float>{0.0f, 0.0f, 0.0f}), "width");
+  EXPECT_DEATH(odin.Observe(std::vector<float>{0.0f}), "width");
+}
+
 // Property sweep over delta: wider bands accept more, so the fraction of
 // frames falling to the temporary path must shrink as delta grows.
 class OdinDeltaSweep : public ::testing::TestWithParam<double> {};
