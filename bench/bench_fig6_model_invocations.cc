@@ -11,6 +11,7 @@
 #include "benchutil/table.h"
 #include "benchutil/workbench.h"
 #include "pipeline/pipeline.h"
+#include "pipeline/provision.h"
 #include "video/stream.h"
 
 int main() {
@@ -38,9 +39,14 @@ int main() {
                                       msbi_config);
     pipeline::PipelineMetrics msbi_metrics = msbi.Run(&s2).ValueOrDie();
 
+    pipeline::PipelineConfig odin_config;
+    odin_config.detector = pipeline::PipelineConfig::Detector::kOdin;
     video::StreamGenerator s3 = bench->dataset.MakeStream();
-    pipeline::OdinPipeline odin(&bench->registry, bench->training_frames,
-                                pipeline::OdinPipeline::Config{});
+    pipeline::DriftAwarePipeline odin(
+        &bench->registry,
+        pipeline::LabelAll(bench->training_frames,
+                           options.provision.count_classes),
+        odin_config);
     pipeline::PipelineMetrics odin_metrics = odin.Run(&s3).ValueOrDie();
 
     benchutil::Table table(

@@ -9,8 +9,8 @@
 
 #include "benchutil/table.h"
 #include "benchutil/workbench.h"
-#include "detect/detector.h"
 #include "pipeline/pipeline.h"
+#include "pipeline/provision.h"
 #include "stats/rng.h"
 #include "video/stream.h"
 
@@ -31,34 +31,43 @@ int main() {
                                     bench->calibration_samples, msbo_config);
   pipeline::PipelineMetrics m_msbo = msbo.Run(&s1).ValueOrDie();
 
+  // The other four rows run the same loop on a fresh stream each.
+  auto run = [&](select::ModelRegistry* registry,
+                 std::vector<std::vector<select::LabeledFrame>> samples,
+                 const pipeline::PipelineConfig& config) {
+    video::StreamGenerator stream = bench->dataset.MakeStream();
+    pipeline::DriftAwarePipeline row(registry, std::move(samples), config);
+    return row.Run(&stream).ValueOrDie();
+  };
   pipeline::PipelineConfig msbi_config = msbo_config;
   msbi_config.selector = pipeline::PipelineConfig::Selector::kMsbi;
-  video::StreamGenerator s2 = bench->dataset.MakeStream();
-  pipeline::DriftAwarePipeline msbi(&bench->registry,
-                                    bench->calibration_samples, msbi_config);
-  pipeline::PipelineMetrics m_msbi = msbi.Run(&s2).ValueOrDie();
+  pipeline::PipelineMetrics m_msbi =
+      run(&bench->registry, bench->calibration_samples, msbi_config);
 
-  pipeline::OdinPipeline::Config odin_config;
+  pipeline::PipelineConfig odin_config;
+  odin_config.detector = pipeline::PipelineConfig::Detector::kOdin;
   odin_config.run_predicate = true;
-  video::StreamGenerator s3 = bench->dataset.MakeStream();
-  pipeline::OdinPipeline odin(&bench->registry, bench->training_frames,
-                              odin_config);
-  pipeline::PipelineMetrics m_odin = odin.Run(&s3).ValueOrDie();
+  pipeline::PipelineMetrics m_odin =
+      run(&bench->registry,
+          pipeline::LabelAll(bench->training_frames,
+                             options.provision.count_classes),
+          odin_config);
 
   stats::Rng rng(606);
-  detect::SimulatedDetector::Config det_config;
-  detect::SimulatedDetector detector(det_config, &rng);
   detect::ClassifierTrainConfig tc;
   tc.epochs = 10;
-  VDRIFT_CHECK_OK(detector.Train(bench->training_frames[0], tc, &rng));
-  video::StreamGenerator s4 = bench->dataset.MakeStream();
-  pipeline::PipelineMetrics m_yolo =
-      pipeline::StaticDetectorPipeline::RunDetector(&detector, &s4, true)
-          .ValueOrDie();
+  select::ModelRegistry yolo;
+  yolo.Add(pipeline::ProvisionDetector("YOLO", bench->training_frames[0], tc,
+                                       &rng)
+               .ValueOrDie());
+  pipeline::PipelineConfig yolo_config;
+  yolo_config.detector = pipeline::PipelineConfig::Detector::kNone;
+  yolo_config.run_predicate = true;
+  pipeline::PipelineMetrics m_yolo = run(&yolo, {}, yolo_config);
 
-  video::StreamGenerator s5 = bench->dataset.MakeStream();
-  pipeline::PipelineMetrics m_mask =
-      pipeline::StaticDetectorPipeline::RunOracle(0, &s5).ValueOrDie();
+  pipeline::PipelineConfig mask_config = yolo_config;
+  mask_config.oracle_queries = true;
+  pipeline::PipelineMetrics m_mask = run(&bench->registry, {}, mask_config);
 
   benchutil::Table table(
       {"Sequence", "(DI,MSBO)", "(DI,MSBI)", "ODIN", "YOLO", "MaskRCNN"});

@@ -9,9 +9,9 @@
 //
 // Runs on the BenchHarness: VDRIFT_BENCH_{SMOKE,DATASET,LEDGER} steer
 // the run and one table9_end_to_end ledger record is appended. Each
-// system contributes an `<ds>.<system>.total` stage; the drift-aware
-// pipelines additionally import their per-frame detect/select/query
-// histograms as `<ds>.<system>.{detect,select,query}` stages.
+// system contributes an `<ds>.<system>.total` stage plus its per-frame
+// detect/select/query histograms, when it recorded any, as
+// `<ds>.<system>.{detect,select,query}` stages.
 
 #include <cstdio>
 #include <string>
@@ -19,11 +19,11 @@
 #include "benchutil/bench_harness.h"
 #include "benchutil/table.h"
 #include "benchutil/workbench.h"
-#include "detect/detector.h"
 #include "fault/fault.h"
 #include "fault/faulty_stream.h"
 #include "obs/metrics.h"
 #include "pipeline/pipeline.h"
+#include "pipeline/provision.h"
 #include "stats/rng.h"
 #include "video/stream.h"
 
@@ -56,7 +56,6 @@ constexpr int kOracleWorkDim = 220;
 void Absorb(BenchHarness* harness, const std::string& prefix,
             const PipelineMetrics& metrics) {
   harness->RecordStageSeconds(prefix + ".total", metrics.total_seconds);
-  if (metrics.registry == nullptr) return;
   const std::pair<const char*, const char*> kStages[] = {
       {"vdrift.pipeline.detect_seconds", ".detect"},
       {"vdrift.pipeline.select_seconds", ".select"},
@@ -128,42 +127,44 @@ int main() {
     Absorb(&harness, ds + ".msbo", msbo_metrics);
     double msbo_s = msbo_metrics.total_seconds;
 
+    // The other four rows run the same loop on a fresh stream each.
+    auto run = [&](const std::string& system, select::ModelRegistry* registry,
+                   std::vector<std::vector<select::LabeledFrame>> samples,
+                   const pipeline::PipelineConfig& config) {
+      video::StreamGenerator stream = bench->dataset.MakeStream();
+      pipeline::DriftAwarePipeline row(registry, std::move(samples), config);
+      PipelineMetrics metrics = row.Run(&stream).ValueOrDie();
+      Absorb(&harness, ds + "." + system, metrics);
+      return metrics.total_seconds;
+    };
     pipeline::PipelineConfig msbi_config = msbo_config;
     msbi_config.selector = pipeline::PipelineConfig::Selector::kMsbi;
-    video::StreamGenerator s2 = bench->dataset.MakeStream();
-    pipeline::DriftAwarePipeline msbi(&bench->registry,
-                                      bench->calibration_samples,
-                                      msbi_config);
-    PipelineMetrics msbi_metrics = msbi.Run(&s2).ValueOrDie();
-    Absorb(&harness, ds + ".msbi", msbi_metrics);
-    double msbi_s = msbi_metrics.total_seconds;
+    double msbi_s = run("msbi", &bench->registry, bench->calibration_samples,
+                        msbi_config);
 
-    video::StreamGenerator s3 = bench->dataset.MakeStream();
-    pipeline::OdinPipeline odin(&bench->registry, bench->training_frames,
-                                pipeline::OdinPipeline::Config{});
-    PipelineMetrics odin_metrics = odin.Run(&s3).ValueOrDie();
-    Absorb(&harness, ds + ".odin", odin_metrics);
-    double odin_s = odin_metrics.total_seconds;
+    pipeline::PipelineConfig odin_config;
+    odin_config.detector = pipeline::PipelineConfig::Detector::kOdin;
+    double odin_s = run("odin", &bench->registry,
+                        pipeline::LabelAll(bench->training_frames,
+                                           options.provision.count_classes),
+                        odin_config);
 
     stats::Rng rng(404);
-    detect::SimulatedDetector::Config det_config;
-    detect::SimulatedDetector detector(det_config, &rng);
     detect::ClassifierTrainConfig tc;
     tc.epochs = 8;
-    VDRIFT_CHECK_OK(detector.Train(bench->training_frames[0], tc, &rng));
-    video::StreamGenerator s4 = bench->dataset.MakeStream();
-    PipelineMetrics yolo_metrics =
-        pipeline::StaticDetectorPipeline::RunDetector(&detector, &s4, false)
-            .ValueOrDie();
-    Absorb(&harness, ds + ".yolo", yolo_metrics);
-    double yolo_s = yolo_metrics.total_seconds;
+    select::ModelRegistry yolo;
+    yolo.Add(pipeline::ProvisionDetector("YOLO", bench->training_frames[0],
+                                         tc, &rng)
+                 .ValueOrDie());
+    pipeline::PipelineConfig yolo_config;
+    yolo_config.detector = pipeline::PipelineConfig::Detector::kNone;
+    double yolo_s = run("yolo", &yolo, {}, yolo_config);
 
-    video::StreamGenerator s5 = bench->dataset.MakeStream();
-    PipelineMetrics mask_metrics =
-        pipeline::StaticDetectorPipeline::RunOracle(kOracleWorkDim, &s5)
-            .ValueOrDie();
-    Absorb(&harness, ds + ".mask_rcnn", mask_metrics);
-    double mask_s = mask_metrics.total_seconds;
+    pipeline::PipelineConfig mask_config = yolo_config;
+    mask_config.oracle_queries = true;
+    mask_config.oracle_work_dim = kOracleWorkDim;
+    mask_config.run_predicate = true;  // the oracle labels both queries
+    double mask_s = run("mask_rcnn", &bench->registry, {}, mask_config);
 
     harness.SetPrimaryStage(ds + ".msbi.detect");
 

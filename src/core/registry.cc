@@ -5,9 +5,6 @@
 namespace vdrift::select {
 
 int ModelRegistry::Add(ModelEntry entry) {
-  // vdrift-lint: allow(no-data-dependent-check): null-wiring bug, not data
-  VDRIFT_CHECK(entry.profile != nullptr)
-      << "model entry '" << entry.name << "' needs a distribution profile";
   entries_.push_back(std::move(entry));
   return static_cast<int>(entries_.size()) - 1;
 }

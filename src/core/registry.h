@@ -17,6 +17,9 @@ namespace vdrift::select {
 /// actual stream processing.
 struct ModelEntry {
   std::string name;
+  /// Null only in a fixed entry that serves without drift detection (the
+  /// drift-oblivious detector of Table 9); the detectors and selectors
+  /// need every entry's profile.
   std::shared_ptr<conformal::DistributionProfile> profile;
   std::shared_ptr<DeepEnsemble> ensemble;
   std::shared_ptr<nn::ProbabilisticClassifier> count_model;

@@ -196,7 +196,8 @@ std::vector<TraceEvent> TraceLog::Drain() {
   return out;
 }
 
-std::string TraceLog::ChromeJson(const std::vector<TraceEvent>& events) {
+std::string TraceLog::ChromeJson(const std::vector<TraceEvent>& events,
+                                 int64_t dropped_events) {
   std::string out = "{\"traceEvents\":[";
   bool first = true;
   for (const TraceEvent& event : events) {
@@ -220,11 +221,15 @@ std::string TraceLog::ChromeJson(const std::vector<TraceEvent>& events) {
     }
     out += "}";
   }
-  out += "],\"displayTimeUnit\":\"ms\"}";
+  out += "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":" +
+         std::to_string(dropped_events) + "}}";
   return out;
 }
 
-std::string TraceLog::DrainChromeJson() { return ChromeJson(Drain()); }
+std::string TraceLog::DrainChromeJson() {
+  const int64_t dropped = dropped_events();
+  return ChromeJson(Drain(), dropped);
+}
 
 Status TraceLog::WriteChromeJson(const std::string& path) {
   int64_t dropped = dropped_events();

@@ -86,13 +86,16 @@ class TraceLog {
   }
 
   /// Drains and serialises to a Chrome trace-event JSON document:
-  /// {"traceEvents":[...],"displayTimeUnit":"ms"}.
+  /// {"traceEvents":[...],"displayTimeUnit":"ms",
+  ///  "otherData":{"dropped_events":N}}, N = dropped_events() — nonzero
+  /// when the rings wrapped and the trace lost its oldest events.
   std::string DrainChromeJson();
   /// DrainChromeJson() to `path` (trailing newline included).
   Status WriteChromeJson(const std::string& path);
 
   /// Serialises already-drained events (exposed for tests/tools).
-  static std::string ChromeJson(const std::vector<TraceEvent>& events);
+  static std::string ChromeJson(const std::vector<TraceEvent>& events,
+                                int64_t dropped_events);
 
  private:
   struct ThreadRing;

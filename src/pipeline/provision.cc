@@ -9,6 +9,31 @@
 
 namespace vdrift::pipeline {
 
+namespace {
+
+// Width of the drift-oblivious detector's CNNs (ProvisionDetector).
+constexpr int kDetectorFilters = 16;
+
+// Oracle labels of both queries (Mask R-CNN's role).
+struct QueryLabels {
+  std::vector<int> count;
+  std::vector<int> predicate;
+};
+
+QueryLabels LabelQueries(const std::vector<video::Frame>& frames,
+                         int count_classes) {
+  QueryLabels labels;
+  labels.count.reserve(frames.size());
+  labels.predicate.reserve(frames.size());
+  for (const video::Frame& f : frames) {
+    labels.count.push_back(detect::CountLabel(f.truth, count_classes));
+    labels.predicate.push_back(detect::PredicateLabel(f.truth));
+  }
+  return labels;
+}
+
+}  // namespace
+
 ProvisionOptions DefaultProvisionOptions() {
   ProvisionOptions options;
   options.profile.vae.image_size = 32;
@@ -41,15 +66,7 @@ Result<select::ModelEntry> ProvisionModel(
       conformal::DistributionProfile::Build(name, pixels, options.profile,
                                             rng));
 
-  // Oracle labels (Mask R-CNN's role).
-  std::vector<int> count_labels;
-  std::vector<int> predicate_labels;
-  count_labels.reserve(frames.size());
-  predicate_labels.reserve(frames.size());
-  for (const video::Frame& f : frames) {
-    count_labels.push_back(detect::CountLabel(f.truth, options.count_classes));
-    predicate_labels.push_back(detect::PredicateLabel(f.truth));
-  }
+  QueryLabels labels = LabelQueries(frames, options.count_classes);
 
   // (b) Deep ensemble of L count classifiers: independent random inits,
   // each trained on a fresh shuffle of the full window (§5.2.2).
@@ -62,7 +79,7 @@ Result<select::ModelEntry> ProvisionModel(
   for (int l = 0; l < options.ensemble_size; ++l) {
     auto member = std::make_shared<detect::ImageClassifier>(clf_config, rng);
     VDRIFT_RETURN_NOT_OK(
-        member->Train(pixels, count_labels, options.classifier_train, rng)
+        member->Train(pixels, labels.count, options.classifier_train, rng)
             .status());
     members.push_back(std::move(member));
   }
@@ -79,7 +96,7 @@ Result<select::ModelEntry> ProvisionModel(
     auto pred =
         std::make_shared<detect::ImageClassifier>(pred_config, rng);
     VDRIFT_RETURN_NOT_OK(
-        pred->Train(pixels, predicate_labels, options.classifier_train, rng)
+        pred->Train(pixels, labels.predicate, options.classifier_train, rng)
             .status());
     predicate_model = std::move(pred);
   }
@@ -108,6 +125,46 @@ std::vector<select::LabeledFrame> MakeLabeledSample(
         {f.pixels, detect::CountLabel(f.truth, count_classes)});
   }
   return sample;
+}
+
+std::vector<std::vector<select::LabeledFrame>> LabelAll(
+    const std::vector<std::vector<video::Frame>>& frames, int count_classes) {
+  std::vector<std::vector<select::LabeledFrame>> labeled(frames.size());
+  for (size_t i = 0; i < frames.size(); ++i) {
+    labeled[i].reserve(frames[i].size());
+    for (const video::Frame& f : frames[i]) {
+      labeled[i].push_back(
+          {f.pixels, detect::CountLabel(f.truth, count_classes)});
+    }
+  }
+  return labeled;
+}
+
+Result<select::ModelEntry> ProvisionDetector(
+    const std::string& name, const std::vector<video::Frame>& frames,
+    const detect::ClassifierTrainConfig& train, stats::Rng* rng) {
+  if (frames.empty()) {
+    return Status::InvalidArgument("detector training needs frames");
+  }
+  detect::ClassifierConfig count_config;
+  count_config.base_filters = kDetectorFilters;
+  detect::ClassifierConfig predicate_config = count_config;
+  predicate_config.num_classes = 2;
+  auto count_model =
+      std::make_shared<detect::ImageClassifier>(count_config, rng);
+  auto predicate_model =
+      std::make_shared<detect::ImageClassifier>(predicate_config, rng);
+  std::vector<tensor::Tensor> pixels = video::PixelsOf(frames);
+  QueryLabels labels = LabelQueries(frames, count_config.num_classes);
+  VDRIFT_RETURN_NOT_OK(
+      count_model->Train(pixels, labels.count, train, rng).status());
+  VDRIFT_RETURN_NOT_OK(
+      predicate_model->Train(pixels, labels.predicate, train, rng).status());
+  select::ModelEntry entry;
+  entry.name = name;
+  entry.count_model = std::move(count_model);
+  entry.predicate_model = std::move(predicate_model);
+  return entry;
 }
 
 }  // namespace vdrift::pipeline

@@ -44,6 +44,24 @@ std::vector<select::LabeledFrame> MakeLabeledSample(
     const std::vector<video::Frame>& frames, int count_classes,
     int sample_size, stats::Rng* rng);
 
+/// Labels every frame of each distribution: the per-entry samples of an
+/// ODIN row, which seeds each entry's cluster from its whole window.
+std::vector<std::vector<select::LabeledFrame>> LabelAll(
+    const std::vector<std::vector<video::Frame>>& frames, int count_classes);
+
+/// \brief Trains the drift-oblivious detector of Table 9 (YOLOv7's role)
+/// as one fixed registry entry.
+///
+/// Its count and predicate models are CNNs 16 filters wide — twice the
+/// per-sequence classifiers, so its per-frame compute sits well above
+/// theirs as YOLOv7's does above the VGG-based filters — trained
+/// once on `frames` (the stream's initial distribution). Its accuracy
+/// collapses after drift for the genuine reason, covariate shift. The
+/// entry has no profile or ensemble: it serves under Detector::kNone.
+Result<select::ModelEntry> ProvisionDetector(
+    const std::string& name, const std::vector<video::Frame>& frames,
+    const detect::ClassifierTrainConfig& train, stats::Rng* rng);
+
 }  // namespace vdrift::pipeline
 
 #endif  // VDRIFT_PIPELINE_PROVISION_H_

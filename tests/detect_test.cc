@@ -1,13 +1,12 @@
 // Tests for the detection substrate: label extraction, the image
-// classifier (training, prediction, accuracy, drift-induced degradation),
-// the annotation oracle, and the drift-oblivious detector.
+// classifier (training, prediction, accuracy, drift-induced degradation)
+// and the annotation oracle.
 
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "detect/annotator.h"
-#include "detect/detector.h"
 #include "detect/image_classifier.h"
 #include "stats/rng.h"
 #include "video/datasets.h"
@@ -152,40 +151,6 @@ TEST(OracleAnnotatorTest, WorkloadDoesNotChangeLabels) {
   for (const video::Frame& f : frames) {
     EXPECT_EQ(heavy.Annotate(f).CarCount(), f.truth.CarCount());
   }
-}
-
-TEST(SimulatedDetectorTest, TrainsAndPredictsBothHeads) {
-  Rng rng(4);
-  video::SyntheticDataset ds = video::MakeBddSynthetic(0.01);
-  std::vector<video::Frame> frames =
-      video::GenerateFrames(ds.SpecOf("Day"), 200, 32, 9);
-  SimulatedDetector::Config config;
-  config.base_filters = 8;  // keep the test fast
-  SimulatedDetector detector(config, &rng);
-  ClassifierTrainConfig tc;
-  tc.epochs = 6;
-  ASSERT_TRUE(detector.Train(frames, tc, &rng).ok());
-  int correct_count = 0;
-  int correct_pred = 0;
-  std::vector<video::Frame> test =
-      video::GenerateFrames(ds.SpecOf("Day"), 100, 32, 10);
-  for (const video::Frame& f : test) {
-    if (detector.PredictCount(f.pixels) ==
-        CountLabel(f.truth, config.count_classes)) {
-      ++correct_count;
-    }
-    if (detector.PredictPredicate(f.pixels) == f.truth.BusLeftOfCar()) {
-      ++correct_pred;
-    }
-  }
-  EXPECT_GT(correct_count, 25) << "count head at or below chance";
-  EXPECT_GT(correct_pred, 55) << "predicate head at or below chance";
-}
-
-TEST(SimulatedDetectorTest, RejectsEmptyTraining) {
-  Rng rng(5);
-  SimulatedDetector detector(SimulatedDetector::Config{}, &rng);
-  EXPECT_FALSE(detector.Train({}, ClassifierTrainConfig{}, &rng).ok());
 }
 
 }  // namespace

@@ -78,6 +78,17 @@ TEST_F(TraceLogTest, RingWrapsKeepingTheMostRecentEvents) {
   // Re-enabling resets the drop counter along with the rings.
   log.Enable(tiny);
   EXPECT_EQ(log.dropped_events(), 0);
+  // The written trace says that it wrapped, and by how much.
+  for (int i = 0; i < 10; ++i) {
+    log.RecordComplete("op", "again", static_cast<double>(i),
+                       static_cast<double>(i) + 0.5, 0, 0);
+  }
+  auto parsed = json::Parse(log.DrainChromeJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const json::Value* other = parsed.value().Find("otherData");
+  ASSERT_NE(other, nullptr);
+  ASSERT_NE(other->Find("dropped_events"), nullptr);
+  EXPECT_EQ(other->Find("dropped_events")->number_value, 6.0);
 }
 
 TEST_F(TraceLogTest, DrainMergesThreadsSortedByTidAndTime) {
@@ -148,6 +159,10 @@ TEST_F(TraceLogTest, ChromeJsonRoundTripsThroughObsJson) {
   const json::Value* unit = root.Find("displayTimeUnit");
   ASSERT_NE(unit, nullptr);
   EXPECT_EQ(unit->string_value, "ms");
+  const json::Value* other = root.Find("otherData");
+  ASSERT_NE(other, nullptr);
+  ASSERT_NE(other->Find("dropped_events"), nullptr);
+  EXPECT_EQ(other->Find("dropped_events")->number_value, 0.0);
 }
 
 TEST_F(TraceLogTest, TraceSpansEmitNestedBeginEndPairs) {

@@ -1,6 +1,7 @@
 // End-to-end integration tests: the drift-aware pipeline (DI + MSBO/MSBI)
-// on multi-sequence streams, the trainNewModel path, the ODIN baseline
-// pipeline, and the static-detector pipelines.
+// on multi-sequence streams, the trainNewModel path, and the baseline rows
+// of Table 9 (ODIN, the fixed YOLO detector, the Mask R-CNN oracle) run by
+// the same loop.
 
 #include <algorithm>
 #include <cstdio>
@@ -53,6 +54,56 @@ class PipelineFixture : public ::testing::Test {
     config.provision = benchutil::DefaultWorkbenchOptions().provision;
     config.allow_training_new = false;
     return config;
+  }
+
+  static PipelineConfig RowConfig(PipelineConfig::Detector detector) {
+    PipelineConfig config;
+    config.detector = detector;
+    return config;
+  }
+
+  // The ODIN row's samples: each entry's whole training window.
+  static std::vector<std::vector<select::LabeledFrame>> OdinSamples() {
+    return LabelAll(bench_->training_frames,
+                    benchutil::DefaultWorkbenchOptions()
+                        .provision.count_classes);
+  }
+
+  // The YOLO row's one-entry registry: the fixed detector trained on
+  // sequence 0 only (trained once, on first use).
+  static select::ModelRegistry* Yolo() {
+    static select::ModelRegistry* yolo = [] {
+      stats::Rng rng(55);
+      detect::ClassifierTrainConfig tc;
+      tc.epochs = 10;
+      auto* registry = new select::ModelRegistry;
+      registry->Add(ProvisionDetector("YOLO", bench_->training_frames[0], tc,
+                                      &rng)
+                        .ValueOrDie());
+      return registry;
+    }();
+    return yolo;
+  }
+
+  struct Row {
+    std::string name;
+    select::ModelRegistry* registry;
+    std::vector<std::vector<select::LabeledFrame>> samples;
+    PipelineConfig config;
+  };
+
+  // The ODIN, YOLO and Mask R-CNN rows of Table 9, spatial query on.
+  static std::vector<Row> BaselineRows() {
+    std::vector<Row> rows = {
+        {"odin", &bench_->registry, OdinSamples(),
+         RowConfig(PipelineConfig::Detector::kOdin)},
+        {"yolo", Yolo(), {}, RowConfig(PipelineConfig::Detector::kNone)},
+        {"mask_rcnn", &bench_->registry, {},
+         RowConfig(PipelineConfig::Detector::kNone)},
+    };
+    rows[2].config.oracle_queries = true;
+    for (Row& row : rows) row.config.run_predicate = true;
+    return rows;
   }
 
   static benchutil::Workbench* bench_;
@@ -144,10 +195,10 @@ TEST_F(PipelineFixture, DetectionLatencyIsSmall) {
   EXPECT_LE(metrics.drift_frames[0], truth[0] + 60);
 }
 
-TEST_F(PipelineFixture, OdinPipelineRunsWithEnsembles) {
+TEST_F(PipelineFixture, OdinRowRunsWithEnsembles) {
   video::StreamGenerator stream = bench_->dataset.MakeStream();
-  OdinPipeline::Config config;
-  OdinPipeline odin(&bench_->registry, bench_->training_frames, config);
+  DriftAwarePipeline odin(&bench_->registry, OdinSamples(),
+                          RowConfig(PipelineConfig::Detector::kOdin));
   PipelineMetrics metrics = odin.Run(&stream).ValueOrDie();
   EXPECT_EQ(metrics.frames, bench_->dataset.total_frames());
   SequenceAccuracy totals = metrics.Totals();
@@ -163,8 +214,8 @@ TEST_F(PipelineFixture, OdinUsesMoreInvocationsThanMs) {
                         config);
   PipelineMetrics ms_metrics = ms.Run(&s1).ValueOrDie();
   video::StreamGenerator s2 = bench_->dataset.MakeStream();
-  OdinPipeline odin(&bench_->registry, bench_->training_frames,
-                    OdinPipeline::Config{});
+  DriftAwarePipeline odin(&bench_->registry, OdinSamples(),
+                          RowConfig(PipelineConfig::Detector::kOdin));
   PipelineMetrics odin_metrics = odin.Run(&s2).ValueOrDie();
   EXPECT_GE(odin_metrics.Totals().invocations,
             ms_metrics.Totals().invocations);
@@ -173,17 +224,12 @@ TEST_F(PipelineFixture, OdinUsesMoreInvocationsThanMs) {
 TEST_F(PipelineFixture, MsBeatsDriftObliviousDetectorOnAccuracy) {
   // The YOLO substitute is trained on sequence 0 only; after the drifts
   // its accuracy must fall below the drift-aware pipeline's.
-  stats::Rng rng(55);
-  detect::SimulatedDetector::Config det_config;
-  det_config.base_filters = 12;
-  detect::SimulatedDetector detector(det_config, &rng);
-  detect::ClassifierTrainConfig tc;
-  tc.epochs = 10;
-  ASSERT_TRUE(detector.Train(bench_->training_frames[0], tc, &rng).ok());
   video::StreamGenerator s1 = bench_->dataset.MakeStream();
-  PipelineMetrics yolo =
-      StaticDetectorPipeline::RunDetector(&detector, &s1, false)
-          .ValueOrDie();
+  DriftAwarePipeline detector(Yolo(), {},
+                              RowConfig(PipelineConfig::Detector::kNone));
+  PipelineMetrics yolo = detector.Run(&s1).ValueOrDie();
+  EXPECT_EQ(yolo.Totals().invocations, yolo.frames);
+  EXPECT_EQ(yolo.drifts_detected, 0);
   video::StreamGenerator s2 = bench_->dataset.MakeStream();
   PipelineConfig config = BaseConfig(PipelineConfig::Selector::kMsbo);
   DriftAwarePipeline ms(&bench_->registry, bench_->calibration_samples,
@@ -192,19 +238,43 @@ TEST_F(PipelineFixture, MsBeatsDriftObliviousDetectorOnAccuracy) {
   EXPECT_GT(ours.Totals().CountAq(), yolo.Totals().CountAq());
 }
 
-TEST_F(PipelineFixture, OraclePipelineIsPerfect) {
+TEST_F(PipelineFixture, OracleRowIsPerfect) {
   video::StreamGenerator stream = bench_->dataset.MakeStream();
-  PipelineMetrics metrics =
-      StaticDetectorPipeline::RunOracle(16, &stream).ValueOrDie();
+  PipelineConfig config = RowConfig(PipelineConfig::Detector::kNone);
+  config.oracle_queries = true;
+  config.oracle_work_dim = 16;
+  config.run_predicate = true;
+  DriftAwarePipeline oracle(&bench_->registry, {}, config);
+  PipelineMetrics metrics = oracle.Run(&stream).ValueOrDie();
   EXPECT_EQ(metrics.frames, bench_->dataset.total_frames());
   EXPECT_DOUBLE_EQ(metrics.Totals().CountAq(), 1.0);
   EXPECT_DOUBLE_EQ(metrics.Totals().PredicateAq(), 1.0);
+  EXPECT_EQ(metrics.Totals().invocations, metrics.frames);
+  EXPECT_GT(metrics.query_seconds, 0.0);
 }
 
-TEST_F(PipelineFixture, StaticDetectorRejectsNull) {
-  video::StreamGenerator stream = bench_->dataset.MakeStream();
-  EXPECT_FALSE(
-      StaticDetectorPipeline::RunDetector(nullptr, &stream, false).ok());
+TEST_F(PipelineFixture, OnlyTheDiPipelineCheckpoints) {
+  // ODIN and the detector-less rows have no state codec: Checkpoint and
+  // Resume refuse up front, and no byte reaches the path.
+  for (const Row& row : BaselineRows()) {
+    const std::string path =
+        ::testing::TempDir() + "/vdrift_no_codec_" + row.name + ".ckpt";
+    std::remove(path.c_str());
+    video::StreamGenerator stream = bench_->dataset.MakeStream();
+    DriftAwarePipeline pipeline(row.registry, row.samples, row.config);
+    RunOptions some;
+    some.max_frames = 20;
+    ASSERT_TRUE(pipeline.Run(&stream, some).ok()) << row.name;
+    Status written = pipeline.Checkpoint(path, stream);
+    EXPECT_EQ(written.code(), StatusCode::kFailedPrecondition) << row.name;
+    EXPECT_FALSE(ReadFileToString(path).ok()) << row.name << ": wrote bytes";
+    EXPECT_FALSE(ReadFileToString(path + ".tmp").ok()) << row.name;
+    Status resumed = pipeline.Resume(path, &stream);
+    EXPECT_EQ(resumed.code(), StatusCode::kFailedPrecondition) << row.name;
+    EXPECT_EQ(stream.position(), 20) << row.name << ": Resume moved the stream";
+    EXPECT_EQ(pipeline.metrics().degradation.checkpoint_failures, 0)
+        << row.name;
+  }
 }
 
 TEST(TrainNewModelTest, PipelineProvisionsOnUnseenDistribution) {
@@ -434,6 +504,30 @@ TEST_F(PipelineFixture, SlicedRunsNeverOvershootAndMatchUninterrupted) {
     EXPECT_EQ(other.count_total, acc.count_total) << "seq " << id;
     EXPECT_EQ(other.invocations, acc.invocations) << "seq " << id;
   }
+
+  // The baseline rows slice the same loop: run in 3 slices, each ends
+  // with the counters of an uninterrupted run.
+  for (const Row& row : BaselineRows()) {
+    video::StreamGenerator whole_stream = bench_->dataset.MakeStream();
+    DriftAwarePipeline whole(row.registry, row.samples, row.config);
+    PipelineMetrics expected = whole.Run(&whole_stream).ValueOrDie();
+    ASSERT_EQ(expected.frames, total) << row.name;
+    video::StreamGenerator row_stream = bench_->dataset.MakeStream();
+    DriftAwarePipeline thirds(row.registry, row.samples, row.config);
+    RunOptions third;
+    third.max_frames = (total + 2) / 3;
+    for (int i = 0; i < 3; ++i) {
+      int64_t before = row_stream.position();
+      ASSERT_TRUE(thirds.Run(&row_stream, third).ok()) << row.name;
+      EXPECT_EQ(row_stream.position() - before,
+                std::min<int64_t>(third.max_frames, total - before))
+          << row.name << " slice " << i << " overshot its frame budget";
+    }
+    EXPECT_EQ(row_stream.position(), total) << row.name;
+    EXPECT_TRUE(static_cast<const PipelineCounters&>(thirds.metrics()) ==
+                static_cast<const PipelineCounters&>(expected))
+        << row.name << ": slicing changed the counters";
+  }
 }
 
 TEST_F(PipelineFixture, ResumeMidRecoveryRebuildsLagClockAndHistogram) {
@@ -546,33 +640,34 @@ TEST_F(PipelineFixture, ResumeThenCheckpointWritesTheSameBytes) {
   expect_round_trip("handled");
 }
 
-TEST_F(PipelineFixture, StaticDetectorPredicateScoresSharedEncoding) {
-  // RunDetector must score the spatial predicate against
-  // detect::PredicateLabel — the same ground-truth encoding every other
-  // pipeline uses — so Fig. 8 accuracies compare across pipelines. Pinned
-  // by replaying the stream by hand.
-  stats::Rng rng(66);
-  detect::SimulatedDetector::Config det_config;
-  det_config.base_filters = 12;
-  detect::SimulatedDetector detector(det_config, &rng);
-  detect::ClassifierTrainConfig tc;
-  tc.epochs = 6;
-  ASSERT_TRUE(detector.Train(bench_->training_frames[0], tc, &rng).ok());
+TEST_F(PipelineFixture, DetectorRowScoresBothQueriesWithPredict) {
+  // The fixed detector's row scores the count query with its count model's
+  // Predict and the spatial predicate against detect::PredicateLabel — the
+  // same ground-truth encoding every other row uses — so Fig. 7/8
+  // accuracies compare across rows. Pinned by replaying the stream by hand.
+  PipelineConfig config = RowConfig(PipelineConfig::Detector::kNone);
+  config.run_predicate = true;
   video::StreamGenerator s1 = bench_->dataset.MakeStream();
-  PipelineMetrics metrics =
-      StaticDetectorPipeline::RunDetector(&detector, &s1, true).ValueOrDie();
+  DriftAwarePipeline detector(Yolo(), {}, config);
+  PipelineMetrics metrics = detector.Run(&s1).ValueOrDie();
+  const select::ModelEntry& entry = Yolo()->at(0);
   video::StreamGenerator s2 = bench_->dataset.MakeStream();
   video::Frame frame;
-  int64_t expected_total = 0;
-  int64_t expected_correct = 0;
+  SequenceAccuracy expected;
   while (s2.Next(&frame)) {
-    int p = detector.PredictPredicate(frame.pixels) ? 1 : 0;
-    expected_total += 1;
-    if (p == detect::PredicateLabel(frame.truth)) expected_correct += 1;
+    expected.count_total += 1;
+    expected.predicate_total += 1;
+    expected.invocations += 1;
+    if (entry.count_model->Predict(frame.pixels) ==
+        detect::CountLabel(frame.truth, entry.count_model->num_classes())) {
+      expected.count_correct += 1;
+    }
+    if (entry.predicate_model->Predict(frame.pixels) ==
+        detect::PredicateLabel(frame.truth)) {
+      expected.predicate_correct += 1;
+    }
   }
-  SequenceAccuracy totals = metrics.Totals();
-  EXPECT_EQ(totals.predicate_total, expected_total);
-  EXPECT_EQ(totals.predicate_correct, expected_correct);
+  EXPECT_EQ(metrics.Totals(), expected);
 }
 
 TEST_F(PipelineFixture, ResumeFromCorruptCheckpointIsDataLossNotCrash) {
@@ -823,6 +918,39 @@ TEST(ProvisionTest, RejectsBadInput) {
   video::SceneSpec spec;
   std::vector<video::Frame> frames = video::GenerateFrames(spec, 4, 32, 2);
   EXPECT_FALSE(ProvisionModel("x", frames, options, &rng).ok());
+}
+
+TEST(ProvisionTest, DetectorEntryTrainsAndPredictsBothQueries) {
+  stats::Rng rng(4);
+  video::SyntheticDataset ds = video::MakeBddSynthetic(0.01);
+  std::vector<video::Frame> frames =
+      video::GenerateFrames(ds.SpecOf("Day"), 200, 32, 9);
+  detect::ClassifierTrainConfig tc;
+  tc.epochs = 6;
+  select::ModelEntry entry =
+      ProvisionDetector("YOLO", frames, tc, &rng).ValueOrDie();
+  EXPECT_EQ(entry.profile, nullptr);
+  EXPECT_EQ(entry.ensemble, nullptr);
+  ASSERT_NE(entry.count_model, nullptr);
+  ASSERT_NE(entry.predicate_model, nullptr);
+  EXPECT_EQ(entry.predicate_model->num_classes(), 2);
+  int correct_count = 0;
+  int correct_pred = 0;
+  std::vector<video::Frame> test =
+      video::GenerateFrames(ds.SpecOf("Day"), 100, 32, 10);
+  for (const video::Frame& f : test) {
+    if (entry.count_model->Predict(f.pixels) ==
+        detect::CountLabel(f.truth, entry.count_model->num_classes())) {
+      ++correct_count;
+    }
+    if (entry.predicate_model->Predict(f.pixels) ==
+        detect::PredicateLabel(f.truth)) {
+      ++correct_pred;
+    }
+  }
+  EXPECT_GT(correct_count, 25) << "count model at or below chance";
+  EXPECT_GT(correct_pred, 55) << "predicate model at or below chance";
+  EXPECT_FALSE(ProvisionDetector("YOLO", {}, tc, &rng).ok());
 }
 
 TEST(ProvisionTest, MakeLabeledSampleSizesAndRange) {

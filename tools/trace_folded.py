@@ -24,7 +24,10 @@ recent events). The derivation, per tid:
 An E with no open B (ring wrap, or a TraceSpan stopped from a foreign
 thread) and a B never closed are skipped and counted, never attributed.
 The summary line on stderr gives the root-interval total the counts sum
-to.
+to, and `dropped N`: the events the recorder's rings overwrote before
+the trace was written (the trace's otherData.dropped_events; "unknown"
+when the trace does not say), so a wrapped trace is never mistaken for a
+whole run.
 
 Usage:
   tools/trace_folded.py trace.json > out.folded
@@ -198,7 +201,9 @@ def main():
         parser.error("a trace path is required (or use --self-test)")
     try:
         with open(args.trace) as f:
-            events = json.load(f)["traceEvents"]
+            doc = json.load(f)
+        events = doc["traceEvents"]
+        dropped = doc.get("otherData", {}).get("dropped_events", "unknown")
         folded, total, orphans, unclosed = fold(events)
     except (OSError, ValueError, KeyError, TypeError) as err:
         print(f"FAIL: {args.trace}: {err}", file=sys.stderr)
@@ -207,7 +212,8 @@ def main():
     threads = len({event.get("tid", 0) for event in events})
     print(f"trace_folded: {sum(1 for c in folded.values() if c > 0)} "
           f"stacks, root_total_ns={total} over {threads} thread(s); "
-          f"skipped {orphans} orphan E, {unclosed} unclosed B",
+          f"skipped {orphans} orphan E, {unclosed} unclosed B; "
+          f"dropped {dropped} event(s)",
           file=sys.stderr)
     return 0
 
