@@ -18,7 +18,6 @@
 // aborts) arms a seed-driven chaos campaign (shard kills + checkpoint
 // corruption) against the fleet.
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,6 +33,7 @@
 #include "fault/chaos.h"
 #include "fault/fault.h"
 #include "fault/faulty_stream.h"
+#include "obs/timer.h"
 #include "serve/fleet.h"
 #include "serve/supervisor.h"
 #include "video/stream.h"
@@ -115,12 +115,9 @@ int main(int argc, char** argv) {
       }
       VDRIFT_CHECK_OK(fleet.AddStream(spec));
     }
-    auto start = std::chrono::steady_clock::now();
+    const double start = obs::MonotonicSeconds();
     serve::FleetReport report = fleet.Run().ValueOrDie();
-    double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
+    const double seconds = obs::MonotonicSeconds() - start;
     int64_t frames = 0;
     int quarantined = 0;
     for (const serve::StreamReport& stream : report.streams) {

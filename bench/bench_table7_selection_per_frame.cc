@@ -6,7 +6,6 @@
 // ms/frame, MSBI 640 ms/frame, ODIN-Select 17.8 ms/frame. The reproduced
 // shape: MS per-frame cost is 1-2 orders of magnitude above ODIN's.
 
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -15,13 +14,14 @@
 #include "core/msbi.h"
 #include "core/msbo.h"
 #include "detect/annotator.h"
+#include "obs/timer.h"
 #include "baseline/odin.h"
 #include "video/stream.h"
 
 namespace {
-using Clock = std::chrono::steady_clock;
-double Seconds(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
+// Milliseconds per frame since `start`, an obs::MonotonicSeconds reading.
+double MsPerFrame(double start, double frames) {
+  return (vdrift::obs::MonotonicSeconds() - start) * 1000.0 / frames;
 }
 }  // namespace
 
@@ -47,18 +47,18 @@ int main() {
                                           bench->calibration_samples)
                         .ValueOrDie(),
                     select::MsboConfig{});
-  Clock::time_point t0 = Clock::now();
+  double t0 = obs::MonotonicSeconds();
   for (int i = 0; i < kRepeats; ++i) {
     (void)msbo.Select(labeled).ValueOrDie();
   }
-  double msbo_ms = Seconds(t0) * 1000.0 / (kRepeats * 10);
+  double msbo_ms = MsPerFrame(t0, kRepeats * 10);
 
   select::Msbi msbi(&bench->registry, select::MsbiConfig{});
-  t0 = Clock::now();
+  t0 = obs::MonotonicSeconds();
   for (int i = 0; i < kRepeats; ++i) {
     (void)msbi.Select(pixels).ValueOrDie();
   }
-  double msbi_ms = Seconds(t0) * 1000.0 / (kRepeats * 10);
+  double msbi_ms = MsPerFrame(t0, kRepeats * 10);
 
   // ODIN-Select: per-frame cluster assignment over all 5 clusters.
   const conformal::DistributionProfile& encoder =
@@ -74,12 +74,12 @@ int main() {
   }
   std::vector<video::Frame> odin_frames = video::GenerateFrames(
       bench->dataset.segments[1].spec, 200, bench->dataset.image_size, 8200);
-  t0 = Clock::now();
+  t0 = obs::MonotonicSeconds();
   for (const video::Frame& f : odin_frames) {
     std::vector<float> z = encoder.Encode(f.pixels);
     odin.Observe(z);
   }
-  double odin_ms = Seconds(t0) * 1000.0 / odin_frames.size();
+  double odin_ms = MsPerFrame(t0, static_cast<double>(odin_frames.size()));
 
   benchutil::Table table({"Algorithm", "ms/frame", "paper ms/frame"});
   table.AddRow({"MSBO", benchutil::Fmt(msbo_ms, 3), "830"});

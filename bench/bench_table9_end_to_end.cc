@@ -46,9 +46,9 @@ constexpr PaperRow kPaper[] = {
     {"Detrac", 105.6, 116.8, 682.6, 462.0, 4005.0},
     {"Tokyo", 169.2, 178.0, 950.1, 692.0, 6007.5}};
 
-/// Simulated Mask R-CNN per-frame workload (dense GEMM side): sized so the
-/// oracle lands roughly an order of magnitude above the DI+MS pipelines,
-/// as in the paper's GPU numbers.
+/// Simulated Mask R-CNN per-frame workload (dense GEMM side): the oracle
+/// row is the slowest, at ~2x the DI+MS pipelines on a 4-core VM
+/// (EXPERIMENTS.md Table 9), short of the paper's order of magnitude.
 constexpr int kOracleWorkDim = 220;
 
 // Folds one run into the report: the end-to-end total plus the pipeline's

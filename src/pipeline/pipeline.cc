@@ -21,6 +21,7 @@ constexpr char kRunSpan[] = "vdrift.pipeline.run_seconds";
 constexpr char kDetectSpan[] = "vdrift.pipeline.detect_seconds";
 constexpr char kSelectSpan[] = "vdrift.pipeline.select_seconds";
 constexpr char kQuerySpan[] = "vdrift.pipeline.query_seconds";
+constexpr char kDetectLag[] = "vdrift.pipeline.detect_lag_frames";
 
 // Detection-lag histogram layout: frames between the true distribution
 // change and DI's declaration, spanning 1 frame to 1M frames at constant
@@ -32,6 +33,14 @@ obs::HistogramOptions DetectLagOptions() {
   options.max_value = 1e6;
   options.bucket_count = 64;
   return options;
+}
+
+// Drifts that redeployed: every selection but the sentinels of a drift
+// that kept the incumbent.
+int64_t Redeployments(const PipelineCounters& counters) {
+  return std::ranges::count_if(counters.selections, [](const std::string& s) {
+    return s != "<incumbent>" && s != "<none>";
+  });
 }
 
 // True iff every element is finite. Only called on the drift-handling
@@ -163,30 +172,11 @@ void DriftAwarePipeline::AttachRunObservability() {
     // pipeline object, so its series survive a shard restart.
     metrics_.registry = obs.shared_registry;
   }
-  auto named = [&](const char* base) {
-    return obs.stream_label.empty()
-               ? std::string(base)
-               : obs::FormatMetricKey(base, {{"stream", obs.stream_label}});
-  };
-  names_.run_span = named(kRunSpan);
-  names_.detect_span = named(kDetectSpan);
-  names_.select_span = named(kSelectSpan);
-  names_.query_span = named(kQuerySpan);
-  names_.frames = named("vdrift.pipeline.frames");
-  names_.drifts = named("vdrift.pipeline.drifts");
-  names_.frames_dropped = named("vdrift.pipeline.frames_dropped");
-  names_.selection_failures = named("vdrift.pipeline.selection_failures");
-  names_.redeployments = named("vdrift.pipeline.redeployments");
-  names_.checkpoint_failures = named("vdrift.pipeline.checkpoint_failures");
-  names_.detect_lag = named("vdrift.pipeline.detect_lag_frames");
-  names_.drift_oblivious = named("vdrift.pipeline.drift_oblivious");
-  names_.incumbent_fallbacks = named("vdrift.pipeline.incumbent_fallbacks");
-  names_.annotator_deferrals = named("vdrift.pipeline.annotator_deferrals");
-  names_.annotator_errors = named("vdrift.pipeline.annotator_errors");
-  names_.selector_retries = named("vdrift.pipeline.selector_retries");
-  names_.recalibrate_failures = named("vdrift.pipeline.recalibrate_failures");
-  names_.martingale = named("vdrift.di.martingale");
-  names_.p_value = named("vdrift.di.p_value");
+  run_span_ = Named(kRunSpan);
+  detect_span_ = Named(kDetectSpan);
+  select_span_ = Named(kSelectSpan);
+  query_span_ = Named(kQuerySpan);
+  exported_ = PipelineCounters{};
   last_sample_frame_ = 0;
   metrics_.sampler.reset();
   metrics_.watchdog.reset();
@@ -208,37 +198,78 @@ void DriftAwarePipeline::AttachRunObservability() {
       std::make_shared<obs::HealthWatchdog>(std::move(rules).value());
 }
 
+std::string DriftAwarePipeline::Named(const char* base) const {
+  const std::string& label = config_.obs.stream_label;
+  return label.empty() ? std::string(base)
+                       : obs::FormatMetricKey(base, {{"stream", label}});
+}
+
+void DriftAwarePipeline::ExportMetrics() {
+  obs::MetricsRegistry& reg = *metrics_.registry;
+  const bool labeled = !config_.obs.stream_label.empty();
+  // A series appears at its first nonzero export, an `eager` one at the
+  // first. A labeled pipeline (a fleet shard) writes every series and
+  // aggregate from its first export on, zeros included.
+  auto raise = [&](const char* family, int64_t now, int64_t then,
+                   bool eager) {
+    const int64_t delta = now - then;
+    if (delta == 0 && !eager && !labeled) return;
+    reg.GetCounter(Named(family)).Increment(delta);
+    if (labeled) reg.GetCounter(family).Increment(delta);
+  };
+  const DegradationStats& now = metrics_.degradation;
+  const DegradationStats& then = exported_.degradation;
+  raise("vdrift.pipeline.frames", metrics_.frames, exported_.frames, true);
+  raise("vdrift.pipeline.drifts", metrics_.drifts_detected,
+        exported_.drifts_detected, true);
+  raise("vdrift.pipeline.frames_dropped", now.frames_dropped,
+        then.frames_dropped, true);
+  raise("vdrift.pipeline.selection_failures", now.selector_failures,
+        then.selector_failures, false);
+  raise("vdrift.pipeline.redeployments", Redeployments(metrics_),
+        Redeployments(exported_), false);
+  raise("vdrift.pipeline.checkpoint_failures", now.checkpoint_failures,
+        then.checkpoint_failures, false);
+  obs::Histogram& lags =
+      reg.GetHistogram(Named(kDetectLag), DetectLagOptions());
+  obs::Histogram* all_lags =
+      labeled ? &reg.GetHistogram(kDetectLag, DetectLagOptions()) : nullptr;
+  for (size_t i = exported_.detect_lags.size();
+       i < metrics_.detect_lags.size(); ++i) {
+    const double lag = static_cast<double>(metrics_.detect_lags[i]);
+    lags.Record(lag);
+    if (all_lags != nullptr) all_lags->Record(lag);
+  }
+  // The rest of the degradation state is gauges: a resume can lower it.
+  auto set = [&](const char* family, double value) {
+    reg.GetGauge(Named(family)).Set(value);
+  };
+  set("vdrift.pipeline.drift_oblivious", now.drift_oblivious ? 1.0 : 0.0);
+  set("vdrift.pipeline.incumbent_fallbacks", now.incumbent_fallbacks);
+  set("vdrift.pipeline.annotator_deferrals", now.annotator_deferrals);
+  set("vdrift.pipeline.annotator_errors", now.annotator_errors);
+  set("vdrift.pipeline.selector_retries", now.selector_retries);
+  set("vdrift.pipeline.recalibrate_failures", now.recalibrate_failures);
+  if (inspector_ != nullptr) {
+    set("vdrift.di.martingale", inspector_->martingale_value());
+    set("vdrift.di.p_value", state_.last_p_value);
+  }
+  exported_ = metrics_;
+}
+
 void DriftAwarePipeline::TickObs(bool force) {
   if (metrics_.sampler == nullptr) return;
   int64_t frame_clock = metrics_.frames;
   int64_t elapsed = frame_clock - last_sample_frame_;
   if (elapsed < (force ? 1 : config_.obs.sample_interval_frames)) return;
-  // Mirror the non-counter pipeline state into gauges so windows (and SLO
-  // rules) can see it. Counter-backed state is already in the registry.
-  obs::MetricsRegistry& reg = *metrics_.registry;
-  const DegradationStats& degradation = metrics_.degradation;
-  reg.GetGauge(names_.drift_oblivious)
-      .Set(degradation.drift_oblivious ? 1.0 : 0.0);
-  reg.GetGauge(names_.incumbent_fallbacks)
-      .Set(static_cast<double>(degradation.incumbent_fallbacks));
-  reg.GetGauge(names_.annotator_deferrals)
-      .Set(static_cast<double>(degradation.annotator_deferrals));
-  reg.GetGauge(names_.annotator_errors)
-      .Set(static_cast<double>(degradation.annotator_errors));
-  reg.GetGauge(names_.selector_retries)
-      .Set(static_cast<double>(degradation.selector_retries));
-  reg.GetGauge(names_.recalibrate_failures)
-      .Set(static_cast<double>(degradation.recalibrate_failures));
-  if (inspector_ != nullptr) {
-    reg.GetGauge(names_.martingale).Set(inspector_->martingale_value());
-    reg.GetGauge(names_.p_value).Set(state_.last_p_value);
-  }
+  ExportMetrics();
   obs::MetricsWindow window =
       metrics_.sampler->Sample(static_cast<double>(frame_clock));
   last_sample_frame_ = frame_clock;
   if (metrics_.watchdog == nullptr) return;
   for (const obs::AlertEvent& alert : metrics_.watchdog->Evaluate(window)) {
-    reg.GetCounter("vdrift.slo.alerts", {{"rule", alert.rule}}).Increment();
+    metrics_.registry->GetCounter("vdrift.slo.alerts", {{"rule", alert.rule}})
+        .Increment();
     metrics_.episodes->RecordAlert({frame_clock, alert.rule, alert.ToJson()});
     VDRIFT_LOG_WARNING << "SLO alert: " << alert.message;
   }
@@ -260,10 +291,9 @@ Status DriftAwarePipeline::EnsureCalibrated() {
   return Recalibrate();
 }
 
-void DriftAwarePipeline::RecordQueries(const video::Frame& frame,
-                                       PipelineMetrics* metrics) {
-  obs::TraceSpan query_span(metrics->registry.get(), names_.query_span);
-  SequenceAccuracy& acc = metrics->per_sequence[frame.truth.sequence_id];
+void DriftAwarePipeline::RecordQueries(const video::Frame& frame) {
+  obs::TraceSpan query_span(metrics_.registry.get(), query_span_);
+  SequenceAccuracy& acc = metrics_.per_sequence[frame.truth.sequence_id];
   acc.count_total += 1;
   if (config_.oracle_queries) {
     // The oracle labels both queries in one invocation, exactly.
@@ -313,11 +343,11 @@ bool DriftAwarePipeline::ObserveOdin(const video::Frame& frame) {
   std::vector<float> latent;
   baseline::OdinObservation observation;
   {
-    obs::TraceSpan detect_span(metrics_.registry.get(), names_.detect_span);
+    obs::TraceSpan detect_span(metrics_.registry.get(), detect_span_);
     latent = registry_->at(config_.initial_model).profile->Encode(frame.pixels);
     observation = odin_->Observe(latent);
   }
-  obs::TraceSpan select_span(metrics_.registry.get(), names_.select_span);
+  obs::TraceSpan select_span(metrics_.registry.get(), select_span_);
   // ODIN-Select: the models of the assigned clusters; a frame no
   // permanent cluster takes goes to the nearest one's model.
   frame_models_ = std::move(observation.models);
@@ -343,7 +373,7 @@ bool DriftAwarePipeline::ObserveOdin(const video::Frame& frame) {
 }
 
 Result<select::Selection> DriftAwarePipeline::AttemptSelection(
-    const std::vector<video::Frame>& window, PipelineMetrics* metrics) {
+    const std::vector<video::Frame>& window) {
   fault::FaultInjector* injector = config_.injector;
   if (injector != nullptr) {
     // The selector's real failure surfaces: the registry read that loads
@@ -364,11 +394,11 @@ Result<select::Selection> DriftAwarePipeline::AttemptSelection(
         if (injector->ShouldInject(fault::FaultKind::kAnnotatorDeadline)) {
           // Label arrives too late for this selection round; the frame's
           // re-annotation is deferred rather than blocking recovery.
-          metrics->degradation.annotator_deferrals += 1;
+          metrics_.degradation.annotator_deferrals += 1;
           continue;
         }
         if (injector->ShouldInject(fault::FaultKind::kAnnotatorError)) {
-          metrics->degradation.annotator_errors += 1;
+          metrics_.degradation.annotator_errors += 1;
           continue;
         }
       }
@@ -386,7 +416,10 @@ Result<select::Selection> DriftAwarePipeline::AttemptSelection(
   return msbi.Select(video::PixelsOf(window));
 }
 
-void DriftAwarePipeline::AdvanceLagClock(const video::Frame& frame) {
+void DriftAwarePipeline::AdmitFrame(const video::Frame& frame,
+                                    int64_t* admitted) {
+  *admitted += 1;
+  metrics_.frames += 1;
   // A ground-truth sequence change is the true drift onset the next
   // detection is measured against.
   if (frame.truth.sequence_id != state_.last_sequence_id) {
@@ -405,19 +438,17 @@ void DriftAwarePipeline::BeginDriftHandling() {
   recovery.backoff = std::max(1, config_.degrade.backoff_initial_frames);
 }
 
-void DriftAwarePipeline::FinishRedeployment(PipelineMetrics* metrics) {
-  metrics->episodes->AnnotateDecision(metrics->selections.back());
-  metrics->registry->GetCounter(names_.redeployments).Increment();
+void DriftAwarePipeline::FinishRedeployment() {
+  metrics_.episodes->AnnotateDecision(metrics_.selections.back());
   // Re-arm DI against the newly deployed distribution.
   inspector_ = std::make_unique<conformal::DriftInspector>(
       registry_->at(state_.deployed).profile.get(), config_.di,
-      config_.seed + static_cast<uint64_t>(metrics->drifts_detected));
-  inspector_->set_recorder(metrics->episodes.get());
+      config_.seed + static_cast<uint64_t>(metrics_.drifts_detected));
+  inspector_->set_recorder(metrics_.episodes.get());
   state_.recovery = DriftRecovery{};
 }
 
 Status DriftAwarePipeline::ContinueDriftHandling(video::FrameSource* stream,
-                                                 PipelineMetrics* metrics,
                                                  int64_t* admitted,
                                                  int64_t max_frames) {
   // Collect frames for the recovery/training windows (frames keep being
@@ -434,16 +465,12 @@ Status DriftAwarePipeline::ContinueDriftHandling(video::FrameSource* stream,
     while (static_cast<int>(dest->size()) < target) {
       if (max_frames >= 0 && *admitted >= max_frames) return Collect::kBudget;
       if (!stream->Next(&frame)) return Collect::kStreamEnd;
-      *admitted += 1;
-      metrics->frames += 1;
-      metrics->registry->GetCounter(names_.frames).Increment();
-      AdvanceLagClock(frame);
+      AdmitFrame(frame, admitted);
       if (!AllFinite(frame.pixels)) {
-        metrics->degradation.frames_dropped += 1;
-        metrics->registry->GetCounter(names_.frames_dropped).Increment();
+        metrics_.degradation.frames_dropped += 1;
         continue;  // never select or train on poisoned pixels
       }
-      if (config_.run_queries) RecordQueries(frame, metrics);
+      if (config_.run_queries) RecordQueries(frame);
       dest->push_back(frame);
     }
     return Collect::kFilled;
@@ -466,45 +493,44 @@ Status DriftAwarePipeline::ContinueDriftHandling(video::FrameSource* stream,
       recovery.target = static_cast<int>(recovery.window.size());
     }
     Result<select::Selection> attempted = [&] {
-      obs::TraceSpan select_span(metrics->registry.get(), names_.select_span);
-      return AttemptSelection(recovery.window, metrics);
+      obs::TraceSpan select_span(metrics_.registry.get(), select_span_);
+      return AttemptSelection(recovery.window);
     }();
     if (!attempted.ok()) {
-      metrics->degradation.selector_failures += 1;
-      metrics->registry->GetCounter(names_.selection_failures).Increment();
+      metrics_.degradation.selector_failures += 1;
       if (recovery.attempt >= config_.degrade.max_selection_retries) {
-        metrics->degradation.incumbent_fallbacks += 1;
-        metrics->selections.push_back("<incumbent>");
-        metrics->episodes->AnnotateDecision("<incumbent>");
+        metrics_.degradation.incumbent_fallbacks += 1;
+        metrics_.selections.push_back("<incumbent>");
+        metrics_.episodes->AnnotateDecision("<incumbent>");
         ++state_.consecutive_selection_failures;
         if (config_.degrade.max_consecutive_failures > 0 &&
             state_.consecutive_selection_failures >=
                 config_.degrade.max_consecutive_failures) {
-          metrics->degradation.drift_oblivious = true;
+          metrics_.degradation.drift_oblivious = true;
         }
         inspector_->Reset();
         recovery = DriftRecovery{};
         return Status::OK();
       }
       recovery.attempt += 1;
-      metrics->degradation.selector_retries += 1;
+      metrics_.degradation.selector_retries += 1;
       recovery.target += recovery.backoff;
       recovery.backoff *= 2;
       continue;
     }
     select::Selection selection = std::move(attempted).value();
     state_.consecutive_selection_failures = 0;
-    metrics->selection_invocations += selection.invocations;
+    metrics_.selection_invocations += selection.invocations;
     if (!selection.train_new_model) {
       state_.deployed = selection.model_index;
-      metrics->selections.push_back(registry_->at(state_.deployed).name);
-      FinishRedeployment(metrics);
+      metrics_.selections.push_back(registry_->at(state_.deployed).name);
+      FinishRedeployment();
       return Status::OK();
     }
     if (!config_.allow_training_new) {
       // Keep the best-effort current deployment.
-      metrics->selections.push_back("<none>");
-      metrics->episodes->AnnotateDecision("<none>");
+      metrics_.selections.push_back("<none>");
+      metrics_.episodes->AnnotateDecision("<none>");
       inspector_->Reset();
       recovery = DriftRecovery{};
       return Status::OK();
@@ -519,7 +545,7 @@ Status DriftAwarePipeline::ContinueDriftHandling(video::FrameSource* stream,
     Collect got = collect(&recovery.training, config_.new_model_window);
     if (got == Collect::kBudget) return Status::OK();  // parked at the slice
     std::string name = config_.trained_model_prefix +
-                       std::to_string(metrics->new_models_trained);
+                       std::to_string(metrics_.new_models_trained);
     VDRIFT_ASSIGN_OR_RETURN(
         select::ModelEntry entry,
         ProvisionModel(name, recovery.training, config_.provision,
@@ -533,15 +559,15 @@ Status DriftAwarePipeline::ContinueDriftHandling(video::FrameSource* stream,
         // Keep serving on the old calibration, extended with a permissive
         // baseline for the new model so it stays selectable; the next
         // successful Recalibrate replaces the whole vector anyway.
-        metrics->degradation.recalibrate_failures += 1;
+        metrics_.degradation.recalibrate_failures += 1;
         state_.calibration.pc_avg.push_back(1.0);
         state_.calibration.sigma.push_back(0.0);
       }
     }
     state_.deployed = index;
-    metrics->new_models_trained += 1;
-    metrics->selections.push_back(name);
-    FinishRedeployment(metrics);
+    metrics_.new_models_trained += 1;
+    metrics_.selections.push_back(name);
+    FinishRedeployment();
   }
   return Status::OK();
 }
@@ -569,95 +595,85 @@ Status DriftAwarePipeline::AdoptModel(
       state_.calibration.sigma.push_back(0.0);
     }
   }
+  ExportMetrics();
+  return Status::OK();
+}
+
+Status DriftAwarePipeline::RunFrames(video::FrameSource* stream,
+                                     const RunOptions& options) {
+  VDRIFT_RETURN_NOT_OK(EnsureCalibrated());
+  if (inspector_ != nullptr) inspector_->set_recorder(metrics_.episodes.get());
+  obs::TraceSpan run_span(metrics_.registry.get(), run_span_);
+  video::Frame frame;
+  int64_t admitted = 0;
+  const int64_t max_frames = options.max_frames;
+  // Drift handling parked at the previous slice boundary continues first —
+  // its frames draw from this call's budget.
+  if (recovery_pending() && (max_frames < 0 || admitted < max_frames)) {
+    VDRIFT_RETURN_NOT_OK(ContinueDriftHandling(stream, &admitted, max_frames));
+    TickObs(false);
+  }
+  while ((max_frames < 0 || admitted < max_frames) && !recovery_pending() &&
+         stream->Next(&frame)) {
+    AdmitFrame(frame, &admitted);
+    if (drift_oblivious() ||
+        config_.detector == PipelineConfig::Detector::kNone) {
+      // No detector: the row is drift-oblivious by design, or in the
+      // degraded endgame DI was disarmed; the incumbent keeps serving.
+      if (config_.run_queries) RecordQueries(frame);
+      TickObs(false);
+      continue;
+    }
+    bool drift = false;
+    if (odin_ != nullptr) {
+      drift = ObserveOdin(frame);
+    } else {
+      Result<conformal::DriftInspector::Observation> observation = [&] {
+        obs::TraceSpan detect_span(metrics_.registry.get(), detect_span_);
+        return inspector_->TryObserve(frame.pixels);
+      }();
+      if (!observation.ok()) {
+        // Frame too corrupt to score (NaN/Inf): skip it, count it, and
+        // keep the run alive — one bad frame must not kill the stream.
+        metrics_.degradation.frames_dropped += 1;
+        TickObs(false);
+        continue;
+      }
+      state_.last_p_value = observation.value().p_value;
+      drift = observation.value().drift;
+    }
+    if (config_.run_queries) RecordQueries(frame);
+    if (drift) {
+      metrics_.drifts_detected += 1;
+      metrics_.drift_frames.push_back(frame.truth.frame_index);
+      metrics_.detect_lags.push_back(
+          std::max<int64_t>(1, state_.frames_since_sequence_change));
+      if (inspector_ != nullptr) {
+        BeginDriftHandling();
+        VDRIFT_RETURN_NOT_OK(
+            ContinueDriftHandling(stream, &admitted, max_frames));
+      }
+    }
+    TickObs(false);
+  }
   return Status::OK();
 }
 
 Result<PipelineMetrics> DriftAwarePipeline::Run(video::FrameSource* stream,
                                                 const RunOptions& options) {
-  VDRIFT_RETURN_NOT_OK(EnsureCalibrated());
-  if (inspector_ != nullptr) inspector_->set_recorder(metrics_.episodes.get());
-  obs::Counter& frame_counter =
-      metrics_.registry->GetCounter(names_.frames);
-  obs::Counter& drift_counter =
-      metrics_.registry->GetCounter(names_.drifts);
-  obs::Counter& dropped_counter =
-      metrics_.registry->GetCounter(names_.frames_dropped);
-  obs::Histogram& detect_lag =
-      metrics_.registry->GetHistogram(names_.detect_lag, DetectLagOptions());
-  {
-    obs::TraceSpan run_span(metrics_.registry.get(), names_.run_span);
-    video::Frame frame;
-    int64_t admitted = 0;
-    const int64_t max_frames = options.max_frames;
-    // Drift handling parked at the previous slice boundary continues
-    // first — its frames draw from this call's budget.
-    if (recovery_pending() &&
-        (max_frames < 0 || admitted < max_frames)) {
-      VDRIFT_RETURN_NOT_OK(
-          ContinueDriftHandling(stream, &metrics_, &admitted, max_frames));
-      TickObs(false);
-    }
-    while ((max_frames < 0 || admitted < max_frames) &&
-           !recovery_pending() &&
-           stream->Next(&frame)) {
-      ++admitted;
-      metrics_.frames += 1;
-      frame_counter.Increment();
-      AdvanceLagClock(frame);
-      if (drift_oblivious() ||
-          config_.detector == PipelineConfig::Detector::kNone) {
-        // No detector: the row is drift-oblivious by design, or in the
-        // degraded endgame DI was disarmed; the incumbent keeps serving.
-        if (config_.run_queries) RecordQueries(frame, &metrics_);
-        TickObs(false);
-        continue;
-      }
-      bool drift = false;
-      if (odin_ != nullptr) {
-        drift = ObserveOdin(frame);
-      } else {
-        Result<conformal::DriftInspector::Observation> observation = [&] {
-          obs::TraceSpan detect_span(metrics_.registry.get(),
-                                     names_.detect_span);
-          return inspector_->TryObserve(frame.pixels);
-        }();
-        if (!observation.ok()) {
-          // Frame too corrupt to score (NaN/Inf): skip it, count it, and
-          // keep the run alive — one bad frame must not kill the stream.
-          metrics_.degradation.frames_dropped += 1;
-          dropped_counter.Increment();
-          TickObs(false);
-          continue;
-        }
-        state_.last_p_value = observation.value().p_value;
-        drift = observation.value().drift;
-      }
-      if (config_.run_queries) RecordQueries(frame, &metrics_);
-      if (drift) {
-        metrics_.drifts_detected += 1;
-        drift_counter.Increment();
-        metrics_.drift_frames.push_back(frame.truth.frame_index);
-        const int64_t lag =
-            std::max<int64_t>(1, state_.frames_since_sequence_change);
-        metrics_.detect_lags.push_back(lag);
-        detect_lag.Record(static_cast<double>(lag));
-        if (inspector_ != nullptr) {
-          BeginDriftHandling();
-          VDRIFT_RETURN_NOT_OK(ContinueDriftHandling(stream, &metrics_,
-                                                     &admitted, max_frames));
-        }
-      }
-      TickObs(false);
-    }
-  }
+  Status ran = RunFrames(stream, options);
+  // Errors included: a fleet rebuilds a shard whose slice failed, and the
+  // frames that slice admitted still count.
+  ExportMetrics();
+  VDRIFT_RETURN_NOT_OK(ran);
   // Close the final partial window so the exported series covers every
   // admitted frame (the JSONL delta-sum invariant depends on this).
   TickObs(true);
   obs::MetricsRegistry& reg = *metrics_.registry;
-  metrics_.total_seconds = reg.GetHistogram(names_.run_span).sum();
-  metrics_.detect_seconds = reg.GetHistogram(names_.detect_span).sum();
-  metrics_.select_seconds = reg.GetHistogram(names_.select_span).sum();
-  metrics_.query_seconds = reg.GetHistogram(names_.query_span).sum();
+  metrics_.total_seconds = reg.GetHistogram(run_span_).sum();
+  metrics_.detect_seconds = reg.GetHistogram(detect_span_).sum();
+  metrics_.select_seconds = reg.GetHistogram(select_span_).sum();
+  metrics_.query_seconds = reg.GetHistogram(query_span_).sum();
   return metrics_;
 }
 
@@ -674,10 +690,8 @@ Status DriftAwarePipeline::Checkpoint(const std::string& path,
   cp.state = state_;
   cp.counters = metrics_;
   Status written = WriteCheckpointFile(cp, path, config_.injector);
-  if (!written.ok()) {
-    metrics_.degradation.checkpoint_failures += 1;
-    metrics_.registry->GetCounter(names_.checkpoint_failures).Increment();
-  }
+  if (!written.ok()) metrics_.degradation.checkpoint_failures += 1;
+  ExportMetrics();
   return written;
 }
 
@@ -729,18 +743,10 @@ Status DriftAwarePipeline::Resume(const std::string& path,
   metrics_ = PipelineMetrics{};
   AttachRunObservability();
   static_cast<PipelineCounters&>(metrics_) = std::move(cp.counters);
-  if (config_.obs.shared_registry == nullptr) {
-    // A private per-run registry is fresh, so the recorded lags are
-    // replayed into it and `detect_lag_frames` is bit-identical to an
-    // uninterrupted run's; a shared (fleet) registry outlives the pipeline
-    // and already holds the pre-crash series — replaying would double
-    // every observation.
-    obs::Histogram& detect_lag =
-        metrics_.registry->GetHistogram(names_.detect_lag, DetectLagOptions());
-    for (int64_t lag : metrics_.detect_lags) {
-      detect_lag.Record(static_cast<double>(lag));
-    }
-  }
+  // A fresh private registry exports the restored counters from zero. A
+  // shared (fleet) one already holds the pre-crash series; they go on from
+  // the restored counters and count replayed frames again.
+  if (config_.obs.shared_registry != nullptr) exported_ = metrics_;
   // Sampler cadence continues in the cumulative admitted-frame clock.
   last_sample_frame_ = metrics_.frames;
   inspector_->set_recorder(metrics_.episodes.get());

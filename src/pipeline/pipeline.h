@@ -129,9 +129,9 @@ struct PipelineCounters {
   std::vector<int64_t> drift_frames;      ///< Stream indices of detections.
   std::vector<int64_t> detect_lags;       ///< Frames from truth change to
                                           ///< detection, one per detection
-                                          ///< (mirrors the detect_lag_frames
-                                          ///< histogram so resumes can
-                                          ///< rebuild it bit-identically).
+                                          ///< (the detect_lag_frames
+                                          ///< histogram exports them, so a
+                                          ///< resumed run's is identical).
   std::vector<std::string> selections;    ///< Model picked per drift.
   int64_t selection_invocations = 0;      ///< Selector-internal invocations.
   std::map<int, SequenceAccuracy> per_sequence;  ///< Keyed by sequence id.
@@ -154,8 +154,16 @@ struct PipelineMetrics : PipelineCounters {
   /// model set, or the annotation oracle.
   double query_seconds = 0.0;
 
-  /// Per-run instruments (`vdrift.pipeline.*`): per-frame latency
-  /// histograms behind the *_seconds sums, plus frame/drift counters.
+  /// Per-run instruments. The `*_seconds` span histograms record as the
+  /// run goes; every other series exports the counters above, at every
+  /// return of Run, in Checkpoint and AdoptModel, and before each sampler
+  /// window (DriftAwarePipeline::ExportMetrics). Counters: frames, drifts,
+  /// frames_dropped, selection_failures (degradation.selector_failures),
+  /// checkpoint_failures, redeployments (selections naming a model).
+  /// Histogram: detect_lag_frames (detect_lags). Gauges: the other
+  /// DegradationStats fields, and `vdrift.di.martingale`/`p_value` on Drift
+  /// Inspector rows. Under a stream label the counters and lags also raise
+  /// the unlabeled aggregate.
   std::shared_ptr<obs::MetricsRegistry> registry;
   /// Drift-episode telemetry: martingale/p-value/bet traces around each
   /// detection with the selector's decision attached.
@@ -402,50 +410,46 @@ class DriftAwarePipeline {
   /// whose detector is not DI returns kFailedPrecondition untouched.
   Status Resume(const std::string& path, video::FrameSource* stream);
 
- private:
-  /// Per-run instrument names; when PipelineObsOptions::stream_label is
-  /// set every name carries a {stream="..."} label so several pipelines
-  /// can share one registry.
-  struct ObsNames {
-    std::string run_span, detect_span, select_span, query_span;
-    std::string frames, drifts, frames_dropped, selection_failures,
-        redeployments, checkpoint_failures;
-    std::string detect_lag, drift_oblivious, incumbent_fallbacks,
-        annotator_deferrals, annotator_errors, selector_retries,
-        recalibrate_failures, martingale, p_value;
-  };
+  /// Writes the counters into the series listed at PipelineMetrics::
+  /// registry: counters and lags rise by their delta since the last export,
+  /// gauges take the current values. A fleet calls it after a rebuild.
+  void ExportMetrics();
 
+ private:
+  /// `base` with this pipeline's {stream="..."} label, if it has one.
+  std::string Named(const char* base) const;
+  /// Run's frame loop; Run exports the counters at its every return.
+  Status RunFrames(video::FrameSource* stream, const RunOptions& options);
   Status EnsureCalibrated();
   /// Arms recovery for a drift detected on the current frame.
   void BeginDriftHandling();
   /// Advances drift handling until it completes or the frame budget is
   /// exhausted (`*admitted` reaching `max_frames`); resumable.
-  Status ContinueDriftHandling(video::FrameSource* stream,
-                               PipelineMetrics* metrics, int64_t* admitted,
+  Status ContinueDriftHandling(video::FrameSource* stream, int64_t* admitted,
                                int64_t max_frames);
   /// Records the decision, re-arms DI on the newly deployed model, and
   /// clears the parked recovery state.
-  void FinishRedeployment(PipelineMetrics* metrics);
+  void FinishRedeployment();
   Result<select::Selection> AttemptSelection(
-      const std::vector<video::Frame>& window, PipelineMetrics* metrics);
+      const std::vector<video::Frame>& window);
   /// Scores the frame's queries on ODIN's model set for this frame, or on
   /// the deployed entry when the set is empty, or by the oracle.
-  void RecordQueries(const video::Frame& frame, PipelineMetrics* metrics);
+  void RecordQueries(const video::Frame& frame);
   /// ODIN-Detect + ODIN-Select for one frame: fills `frame_models_` and,
   /// when a cluster was promoted, records the nearest sibling's model as
   /// the drift's selection. Returns true on ODIN's drift.
   bool ObserveOdin(const video::Frame& frame);
-  /// Advances the detection-lag clock for one admitted frame — called for
-  /// every frame pulled from the stream, inside and outside recovery, so
-  /// `detect_lag_frames` measures true stream time.
-  void AdvanceLagClock(const video::Frame& frame);
+  /// Counts a frame pulled from the stream, inside or outside recovery,
+  /// and advances the detection-lag clock, so `detect_lag_frames`
+  /// measures true stream time.
+  void AdmitFrame(const video::Frame& frame, int64_t* admitted);
   Status Recalibrate();
   /// (Re)creates the per-run registry/episodes plus, when armed, the
   /// sampler and watchdog (constructor and Resume).
   void AttachRunObservability();
-  /// Mirrors pipeline state into gauges and closes a sampling window when
-  /// the admitted-frame clock crossed the interval (`force` closes the
-  /// final partial window at the end of a Run).
+  /// Exports the counters and closes a sampling window when the
+  /// admitted-frame clock crossed the interval (`force` closes the final
+  /// partial window at the end of a Run).
   void TickObs(bool force);
 
   select::ModelRegistry* registry_;
@@ -457,7 +461,12 @@ class DriftAwarePipeline {
   std::unique_ptr<baseline::OdinDetect> odin_;            ///< ODIN rows only.
   std::vector<int> frame_models_;  ///< ODIN-Select's set for this frame.
   PipelineMetrics metrics_;  ///< Its PipelineCounters base is state too.
-  ObsNames names_;
+  /// The counters as of the last ExportMetrics: zero for a fresh registry,
+  /// the restored counters after a Resume into a shared one.
+  PipelineCounters exported_;
+  /// Span names, each carrying the {stream="..."} label of
+  /// PipelineObsOptions::stream_label when one is set.
+  std::string run_span_, detect_span_, select_span_, query_span_;
   int64_t last_sample_frame_ = 0;   ///< Admitted-frame clock at last window.
 };
 

@@ -1,6 +1,8 @@
 #include "serve/fleet.h"
 
 #include <algorithm>
+#include <map>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -9,23 +11,6 @@
 #include "runtime/parallel.h"
 
 namespace vdrift::serve {
-
-namespace {
-
-// Counter families folded from labeled per-stream series into unlabeled
-// fleet aggregates at every round barrier. These are exactly the families
-// the pipeline increments as counters; its remaining degradation state is
-// exported as gauges, which do not sum.
-constexpr const char* kAggregatedCounters[] = {
-    "vdrift.pipeline.frames",
-    "vdrift.pipeline.drifts",
-    "vdrift.pipeline.frames_dropped",
-    "vdrift.pipeline.selection_failures",
-    "vdrift.pipeline.redeployments",
-    "vdrift.pipeline.checkpoint_failures",
-};
-
-}  // namespace
 
 DriftFleet::DriftFleet(const FleetOptions& options)
     : options_(options),
@@ -149,6 +134,7 @@ Status DriftFleet::BuildShardPipeline(
   shard->registry = std::move(registry);
   shard->pipeline = std::move(pipeline);
   shard->synced_entries = shard->registry->size();
+  shard->pipeline->ExportMetrics();  // A shard's series exist from the start.
   return Status::OK();
 }
 
@@ -201,6 +187,7 @@ Status DriftFleet::RebuildShard(Shard* shard) {
         if (resumed.ok()) {
           shard->prev_degradation_events =
               shard->pipeline->metrics().degradation.total_events();
+          shard->pipeline->ExportMetrics();
           return Status::OK();
         }
         VDRIFT_LOG_WARNING << "shard " << shard->label
@@ -236,10 +223,7 @@ Status DriftFleet::KillShard(Shard* shard, const Status& cause) {
     return QuarantineShard(shard, cause);
   }
   counters_.shard_restarts += 1;
-  registry_->GetCounter("vdrift.fleet.shard_restarts").Increment();
-  VDRIFT_RETURN_NOT_OK(RebuildShard(shard));
-  ExportHealth(shard);
-  return Status::OK();
+  return RebuildShard(shard);
 }
 
 Status DriftFleet::QuarantineShard(Shard* shard, const Status& cause) {
@@ -257,12 +241,10 @@ Status DriftFleet::QuarantineShard(Shard* shard, const Status& cause) {
   counters_.quarantined_frames += shard->quarantined_frames;
   obs::MetricsRegistry& reg = *registry_;
   reg.GetCounter("vdrift.serve.quarantined").Increment();
+  // The per-stream breakdown of counters_.quarantined_frames.
   reg.GetCounter("vdrift.serve.quarantine_dropped_frames",
                  {{"stream", shard->label}})
       .Increment(shard->quarantined_frames);
-  reg.GetCounter("vdrift.serve.quarantine_dropped_frames")
-      .Increment(shard->quarantined_frames);
-  ExportHealth(shard);
   VDRIFT_LOG_WARNING << "shard " << shard->label
                      << " quarantined after exhausting "
                      << options_.health.max_restarts << " restarts ("
@@ -294,7 +276,7 @@ Status DriftFleet::PublishShardModels(Shard* shard) {
       // The fleet falls back to the incumbents: the candidate stays
       // private to the shard that trained it and is never adoptable.
       counters_.publish_rejected += 1;
-      registry_->GetCounter("vdrift.serve.publish_rejected").Increment();
+      // The per-reason breakdown of counters_.publish_rejected.
       registry_
           ->GetCounter("vdrift.serve.publish_rejected",
                        {{"reason", verdict.reason}})
@@ -309,7 +291,6 @@ Status DriftFleet::PublishShardModels(Shard* shard) {
     }
     if (Publish(registry.at(i), sample)) {
       counters_.models_published += 1;
-      registry_->GetCounter("vdrift.fleet.models_published").Increment();
       lineage_.push_back(
           ModelLineage{registry.at(i).name, shard->label, counters_.rounds});
     }
@@ -326,27 +307,45 @@ Status DriftFleet::AdoptPublished(Shard* shard) {
     VDRIFT_RETURN_NOT_OK(shard->pipeline->AdoptModel(
         published.entry, published.calibration_sample));
     counters_.models_adopted += 1;
-    registry_->GetCounter("vdrift.fleet.models_adopted").Increment();
   }
   shard->synced_entries = shard->registry->size();
   return Status::OK();
 }
 
-void DriftFleet::AggregateShard(Shard* shard) {
-  for (const char* family : kAggregatedCounters) {
-    int64_t current =
-        registry_->GetCounter(family, {{"stream", shard->label}}).value();
-    int64_t& previous = shard->prev_counters[family];
-    if (current != previous) {
-      registry_->GetCounter(family).Increment(current - previous);
-      previous = current;
+void DriftFleet::ExportMetrics() {
+  obs::MetricsRegistry& reg = *registry_;
+  // As in the pipeline's exporter, `eager` families exist from the first
+  // export on and the rest from their first nonzero export.
+  using F = FleetCounters;
+  auto raise = [&](const char* family, int64_t F::*field, bool eager) {
+    const int64_t delta = counters_.*field - exported_.*field;
+    if (delta != 0 || eager) reg.GetCounter(family).Increment(delta);
+  };
+  raise("vdrift.fleet.rounds", &F::rounds, true);
+  raise("vdrift.fleet.backpressure_waits", &F::backpressure_waits, true);
+  raise("vdrift.fleet.models_published", &F::models_published, false);
+  raise("vdrift.fleet.models_adopted", &F::models_adopted, false);
+  raise("vdrift.fleet.shard_restarts", &F::shard_restarts, false);
+  raise("vdrift.serve.publish_rejected", &F::publish_rejected, true);
+  raise("vdrift.serve.quarantine_dropped_frames", &F::quarantined_frames,
+        true);
+  exported_ = counters_;
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    reg.GetGauge("vdrift.serve.health", {{"stream", shard->label}})
+        .Set(static_cast<double>(shard->health.state));
+  }
+  // Gauges do not add up as they are written: each vdrift.pipeline.*
+  // gauge's aggregate is set to the sum of its {stream=...} series (the
+  // shards' vdrift.di.* gauges have none).
+  std::map<std::string, double> sums;
+  for (const auto& [key, value] : reg.Gauges()) {
+    Result<obs::MetricKey> parsed = obs::ParseMetricKey(key);
+    if (parsed.ok() && !parsed.value().labels.empty() &&
+        parsed.value().name.starts_with("vdrift.pipeline.")) {
+      sums[parsed.value().name] += value;
     }
   }
-}
-
-void DriftFleet::ExportHealth(Shard* shard) {
-  registry_->GetGauge("vdrift.serve.health", {{"stream", shard->label}})
-      .Set(static_cast<double>(shard->health.state));
+  for (const auto& [family, sum] : sums) reg.GetGauge(family).Set(sum);
 }
 
 Status DriftFleet::WriteManifest(const std::deque<int>& ready) {
@@ -431,7 +430,6 @@ Status DriftFleet::ResumeFromManifest(const FleetManifest& manifest,
           shard->stream->total_frames() - shard->stream->position();
       if (shard->quarantined_frames < 0) shard->quarantined_frames = 0;
     }
-    ExportHealth(shard);
   }
   ready->assign(manifest.ready.begin(), manifest.ready.end());
   return Status::OK();
@@ -453,18 +451,9 @@ Result<FleetReport> DriftFleet::Run() {
         "per-shard checkpoints)");
   }
   obs::MetricsRegistry& reg = *registry_;
-  // Pre-register the unlabeled aggregates and supervision instruments so
-  // the export always carries them, even at zero.
-  for (const char* family : kAggregatedCounters) {
-    reg.GetCounter(family);
-  }
-  reg.GetCounter("vdrift.serve.publish_rejected");
+  // Registered up front so the export always carries it, even at zero.
   reg.GetCounter("vdrift.serve.quarantined");
-  reg.GetCounter("vdrift.serve.quarantine_dropped_frames");
   obs::Gauge& active_gauge = reg.GetGauge("vdrift.fleet.active_streams");
-  obs::Counter& rounds_counter = reg.GetCounter("vdrift.fleet.rounds");
-  obs::Counter& waits_counter =
-      reg.GetCounter("vdrift.fleet.backpressure_waits");
 
   bool resumed = false;
   std::deque<int> ready;
@@ -512,9 +501,8 @@ Result<FleetReport> DriftFleet::Run() {
       ready.push_back(i);
     }
   }
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    ExportHealth(shard.get());
-  }
+  // A resumed fleet's registry is fresh: it counts this run's work.
+  exported_ = counters_;
 
   auto remove_from_ready = [&ready](int index) {
     ready.erase(std::remove(ready.begin(), ready.end(), index), ready.end());
@@ -527,6 +515,7 @@ Result<FleetReport> DriftFleet::Run() {
   };
   auto build_report = [this, resumed](bool halted,
                                       int64_t halted_round) {
+    ExportMetrics();
     FleetReport report;
     static_cast<FleetCounters&>(report) = counters_;
     report.halted = halted;
@@ -619,7 +608,6 @@ Result<FleetReport> DriftFleet::Run() {
                               ready.begin() + static_cast<long>(admit));
     ready.erase(ready.begin(), ready.begin() + static_cast<long>(admit));
     counters_.backpressure_waits += static_cast<int64_t>(ready.size());
-    waits_counter.Increment(static_cast<int64_t>(ready.size()));
     active_gauge.Set(static_cast<double>(admitted.size()));
     // One cooperative slice per admitted shard, in parallel. Shards share
     // models only through const inference and the registry is thread-safe;
@@ -675,14 +663,11 @@ Result<FleetReport> DriftFleet::Run() {
         }
       }
     }
-    // 5. Fold labeled deltas into the fleet aggregates, tick the fleet
-    //    sampler on the admitted-frame clock, map per-stream SLO alerts
-    //    back to their shards, and advance the health machines.
-    for (const std::unique_ptr<Shard>& shard : shards_) {
-      AggregateShard(shard.get());
-    }
+    // 5. Export the fleet counters and gauges, tick the fleet sampler on
+    //    the admitted-frame clock, map per-stream SLO alerts back to their
+    //    shards, and advance the health machines.
     counters_.rounds += 1;
-    rounds_counter.Increment();
+    ExportMetrics();
     if (sampler_ != nullptr &&
         counters_.rounds % options_.sample_interval_rounds == 0) {
       obs::MetricsWindow window = sampler_->Sample(static_cast<double>(
@@ -723,7 +708,6 @@ Result<FleetReport> DriftFleet::Run() {
         shard->health.ObserveRound(/*degraded_this_round=*/true);
       }
       shard->alerted = false;
-      ExportHealth(shard.get());
     }
     // 6. Requeue / retire / tick restart backoffs. A shard is done when
     //    its stream is exhausted and no drift handling is parked across
@@ -736,30 +720,27 @@ Result<FleetReport> DriftFleet::Run() {
           !shard.pipeline->recovery_pending()) {
         shard.done = true;
         shard.health.Retire();
-        ExportHealth(&shard);
         continue;
       }
       ready.push_back(index);
     }
     for (const std::unique_ptr<Shard>& shard : shards_) {
       if (shard->health.state != HealthState::kRestarting) continue;
-      if (shard->health.TickBackoff()) {
-        ready.push_back(shard->index);
-        ExportHealth(shard.get());
-      }
+      if (shard->health.TickBackoff()) ready.push_back(shard->index);
     }
     // 7. Persist the recovery point.
     if (!options_.manifest_path.empty()) {
       VDRIFT_RETURN_NOT_OK(WriteManifest(ready));
     }
   }
+  FleetReport report = build_report(/*halted=*/false, /*halted_round=*/-1);
   // Close the final partial sampler window so the exported series covers
   // every admitted frame.
   if (sampler_ != nullptr) {
     sampler_->Sample(static_cast<double>(
         reg.GetCounter("vdrift.pipeline.frames").value()));
   }
-  return build_report(/*halted=*/false, /*halted_round=*/-1);
+  return report;
 }
 
 }  // namespace vdrift::serve

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -146,10 +145,10 @@ struct PublishedModel {
 ///   3. adopt every published model each shard is missing,
 ///   4. checkpoint every live shard (after adoption, so the registry
 ///      fingerprint in the file matches the live registry),
-///   5. fold per-stream labeled counters into the unlabeled aggregates
-///      (sum of {stream=...} series == aggregate, exactly, every round),
-///      tick the fleet sampler/watchdog, and advance every shard's health
-///      state (vdrift.serve.health{stream="..."} gauges),
+///   5. export the fleet counters, the shard health gauges and the summed
+///      degradation gauges (shards raise their {stream=...} counters and
+///      the aggregates together), tick the fleet sampler/watchdog, and
+///      advance every shard's health state,
 ///   6. requeue / retire / tick restart backoffs,
 ///   7. write the fleet manifest (when armed).
 /// Models published in round r are visible to other shards at round r+1
@@ -222,8 +221,6 @@ class DriftFleet {
     /// Local registry size after the last barrier; entries beyond it were
     /// trained this round and are pending publication.
     int synced_entries = 0;
-    /// Last aggregated value per counter family (delta folding).
-    std::map<std::string, int64_t> prev_counters;
     /// DegradationStats::total_events() at the last health observation.
     int64_t prev_degradation_events = 0;
     /// A per-stream SLO rule breached since the last health observation.
@@ -260,10 +257,10 @@ class DriftFleet {
   Status PublishShardModels(Shard* shard);
   /// Barrier step 3: adopt published models the shard is missing.
   Status AdoptPublished(Shard* shard);
-  /// Barrier step 5: fold labeled counter deltas into the aggregates.
-  void AggregateShard(Shard* shard);
-  /// Writes the vdrift.serve.health{stream="..."} gauge for one shard.
-  void ExportHealth(Shard* shard);
+  /// Barrier step 5 and the report: raises each series counters_ feeds by
+  /// its delta since the last export, sets every shard's health gauge, and
+  /// sums each degradation gauge's {stream=...} series into its aggregate.
+  void ExportMetrics();
   /// Barrier step 7: snapshot fleet state into the manifest file.
   Status WriteManifest(const std::deque<int>& ready);
   /// Applies a decoded manifest: validates it against the wired fleet,
@@ -283,6 +280,7 @@ class DriftFleet {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<ModelLineage> lineage_;  ///< In publication order.
   FleetCounters counters_;
+  FleetCounters exported_;  ///< counters_ as of the last ExportMetrics.
 };
 
 }  // namespace vdrift::serve

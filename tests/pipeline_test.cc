@@ -640,6 +640,86 @@ TEST_F(PipelineFixture, ResumeThenCheckpointWritesTheSameBytes) {
   expect_round_trip("handled");
 }
 
+// The registry series are an export of the PipelineCounters: each counter
+// family equals the field it is exported from, the lag histogram holds one
+// observation per recorded lag, and the gauges hold the degradation state.
+void ExpectRegistryExportsCounters(const PipelineMetrics& metrics,
+                                   const std::string& where) {
+  obs::MetricsRegistry& reg = *metrics.registry;
+  const DegradationStats& d = metrics.degradation;
+  const int64_t redeployments = std::count_if(
+      metrics.selections.begin(), metrics.selections.end(),
+      [](const std::string& s) { return s != "<incumbent>" && s != "<none>"; });
+  const std::map<std::string, int64_t> expected = {
+      {"vdrift.pipeline.frames", metrics.frames},
+      {"vdrift.pipeline.drifts", metrics.drifts_detected},
+      {"vdrift.pipeline.frames_dropped", d.frames_dropped},
+      {"vdrift.pipeline.selection_failures", d.selector_failures},
+      {"vdrift.pipeline.redeployments", redeployments},
+      {"vdrift.pipeline.checkpoint_failures", d.checkpoint_failures},
+  };
+  for (const auto& [family, value] : expected) {
+    EXPECT_EQ(reg.GetCounter(family).value(), value) << family << " " << where;
+  }
+  EXPECT_EQ(reg.GetHistogram("vdrift.pipeline.detect_lag_frames").count(),
+            static_cast<int64_t>(metrics.detect_lags.size()))
+      << where;
+  const std::map<std::string, int64_t> gauges = {
+      {"vdrift.pipeline.drift_oblivious", d.drift_oblivious ? 1 : 0},
+      {"vdrift.pipeline.incumbent_fallbacks", d.incumbent_fallbacks},
+      {"vdrift.pipeline.annotator_deferrals", d.annotator_deferrals},
+      {"vdrift.pipeline.annotator_errors", d.annotator_errors},
+      {"vdrift.pipeline.selector_retries", d.selector_retries},
+      {"vdrift.pipeline.recalibrate_failures", d.recalibrate_failures},
+  };
+  for (const auto& [family, value] : gauges) {
+    EXPECT_EQ(reg.GetGauge(family).value(), static_cast<double>(value))
+        << family << " " << where;
+  }
+}
+
+TEST_F(PipelineFixture, RegistrySeriesEqualTheCountersAcrossAResume) {
+  // Sliced, checkpointed, resumed into a fresh pipeline and run to the
+  // end: after every Run the private registry's series equal the counters,
+  // which a resume restores whole. Selector faults make the failure
+  // families nonzero.
+  fault::FaultPlan plan =
+      fault::FaultPlan::Parse("selector_fail:p=0.7").ValueOrDie();
+  fault::FaultInjector first_injector(plan, 99);
+  PipelineConfig config = BaseConfig(PipelineConfig::Selector::kMsbo);
+  config.injector = &first_injector;
+  const int64_t total = bench_->dataset.total_frames();
+  video::StreamGenerator first_stream = bench_->dataset.MakeStream();
+  DriftAwarePipeline first(&bench_->registry, bench_->calibration_samples,
+                           config);
+  RunOptions slice;
+  slice.max_frames = 29;
+  while (first_stream.position() < total / 2) {
+    Result<PipelineMetrics> run = first.Run(&first_stream, slice);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ExpectRegistryExportsCounters(run.value(), "first half");
+  }
+  ASSERT_GE(first.metrics().drifts_detected, 1);
+  const std::string path = ::testing::TempDir() + "/vdrift_export.ckpt";
+  ASSERT_TRUE(first.Checkpoint(path, first_stream).ok());
+
+  fault::FaultInjector second_injector(plan, 99);
+  config.injector = &second_injector;
+  video::StreamGenerator second_stream = bench_->dataset.MakeStream();
+  DriftAwarePipeline second(&bench_->registry, bench_->calibration_samples,
+                            config);
+  Status resumed = second.Resume(path, &second_stream);
+  ASSERT_TRUE(resumed.ok()) << resumed.ToString();
+  while (second_stream.position() < total || second.recovery_pending()) {
+    Result<PipelineMetrics> run = second.Run(&second_stream, slice);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ExpectRegistryExportsCounters(run.value(), "after resume");
+  }
+  EXPECT_EQ(second.metrics().frames, total);
+  EXPECT_GT(second.metrics().degradation.selector_failures, 0);
+  std::remove(path.c_str());
+}
+
 TEST_F(PipelineFixture, DetectorRowScoresBothQueriesWithPredict) {
   // The fixed detector's row scores the count query with its count model's
   // Predict and the spatial predicate against detect::PredicateLabel — the

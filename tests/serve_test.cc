@@ -37,8 +37,8 @@
 namespace vdrift::serve {
 namespace {
 
-// The six counter families the fleet folds from {stream=...} series into
-// unlabeled aggregates; kept in sync with fleet.cc by the sum test below.
+// The six counter families a fleet shard exports into its {stream=...}
+// series and their unlabeled aggregates (DriftAwarePipeline::ExportMetrics).
 constexpr const char* kCounterFamilies[] = {
     "vdrift.pipeline.frames",
     "vdrift.pipeline.drifts",
@@ -823,6 +823,88 @@ TEST_F(FleetFixture, ExhaustedRestartBudgetQuarantinesWithExactBooks) {
                 ->GetCounter("vdrift.serve.quarantine_dropped_frames")
                 .value(),
             q.quarantined_frames);
+}
+
+// Labeled sums equal aggregates for every exported family: the pipeline
+// counters, the lag histogram's observations, the summable degradation
+// gauges, and the quarantine loss.
+void ExpectLabeledSumsEqualAggregates(obs::MetricsRegistry& reg,
+                                      const FleetReport& report,
+                                      const std::string& where) {
+  auto labels = [&](const std::string& label) {
+    return obs::LabelSet{{"stream", label}};
+  };
+  std::vector<std::string> counters(std::begin(kCounterFamilies),
+                                    std::end(kCounterFamilies));
+  counters.push_back("vdrift.serve.quarantine_dropped_frames");
+  for (const std::string& family : counters) {
+    int64_t sum = 0;
+    for (const StreamReport& stream : report.streams) {
+      sum += reg.GetCounter(family, labels(stream.label)).value();
+    }
+    EXPECT_EQ(sum, reg.GetCounter(family).value()) << family << " " << where;
+  }
+  const char* lag = "vdrift.pipeline.detect_lag_frames";
+  int64_t lags = 0;
+  for (const StreamReport& stream : report.streams) {
+    lags += reg.GetHistogram(lag, labels(stream.label)).count();
+  }
+  EXPECT_EQ(lags, reg.GetHistogram(lag).count()) << where;
+  EXPECT_GT(lags, 0) << where;
+  for (const char* family : {"vdrift.pipeline.drift_oblivious",
+                              "vdrift.pipeline.incumbent_fallbacks",
+                              "vdrift.pipeline.annotator_deferrals",
+                              "vdrift.pipeline.annotator_errors",
+                              "vdrift.pipeline.selector_retries",
+                              "vdrift.pipeline.recalibrate_failures"}) {
+    double sum = 0.0;
+    for (const StreamReport& stream : report.streams) {
+      sum += reg.GetGauge(family, labels(stream.label)).value();
+    }
+    EXPECT_EQ(sum, reg.GetGauge(family).value()) << family << " " << where;
+  }
+}
+
+TEST_F(FleetFixture, LabeledSeriesSumToAggregatesThroughKillsAndQuarantine) {
+  // The restarted and the quarantined shard rebuild from checkpoints and
+  // replay frames; their series and the aggregates move together anyway.
+  // Selector faults on s1 make the degradation gauges nonzero.
+  std::string dir = ::testing::TempDir() + "/vdrift_fleet_sums";
+  ::mkdir(dir.c_str(), 0755);
+  FleetOptions options = BaseOptions();
+  options.max_concurrent = 3;
+  options.checkpoint_dir = dir;
+  options.chaos.events.push_back({fault::ChaosKind::kKillShard, 2, "s1"});
+  FleetRun killed = RunTokyoFleet(options, 3, "s1@selector_fail:p=0.5");
+  EXPECT_EQ(killed.report.shard_restarts, 1);
+  ExpectLabeledSumsEqualAggregates(*killed.registry, killed.report, "kill");
+
+  options.health.max_restarts = 1;
+  options.chaos.events.push_back({fault::ChaosKind::kKillShard, 4, "s1"});
+  FleetRun quarantined =
+      RunTokyoFleet(options, 3, "s1@selector_fail:p=0.5");
+  EXPECT_EQ(quarantined.report.streams[1].health, HealthState::kQuarantined);
+  EXPECT_GT(quarantined.report.quarantined_frames, 0);
+  ExpectLabeledSumsEqualAggregates(*quarantined.registry, quarantined.report,
+                                   "quarantine");
+}
+
+TEST_F(FleetFixture, DriftObliviousShardFiresTheFleetAlert) {
+  // Every selection on s1 fails, so its drifts fall back to the incumbent
+  // until the pipeline gives up on drift handling. The fleet's default
+  // drift_oblivious rule reads the unlabeled gauge the barrier sums.
+  FleetOptions options = BaseOptions();
+  options.sample_interval_rounds = 1;
+  options.slo_spec = "default";
+  FleetRun run = RunTokyoFleet(options, 3, "s1@selector_fail:p=1.0");
+  ASSERT_TRUE(run.report.streams[1].metrics.degradation.drift_oblivious);
+  EXPECT_FALSE(run.report.streams[0].metrics.degradation.drift_oblivious);
+  EXPECT_EQ(run.registry->GetGauge("vdrift.pipeline.drift_oblivious").value(),
+            1.0);
+  EXPECT_GE(run.registry
+                ->GetCounter("vdrift.slo.alerts", {{"rule", "drift_oblivious"}})
+                .value(),
+            1);
 }
 
 TEST(FleetGateTest, BelowMarginModelNeverReachesTheSharedRegistry) {

@@ -26,4 +26,10 @@ class GoodQueue {
    std::lock_guard<std::mutex> mentions from the checks. */
 int Runtime(int lifetime) { return lifetime + 1; }
 
+// String and character literals are masked too: the time() call, the
+// chrono and getenv mentions and the // inside the banner must not fire.
+const char* Banner() { return "detection time (s), std::chrono // getenv()"; }
+char Quote() { return '"'; }
+int Million() { return 1'000'000; }  // a digit separator is not a quote
+
 }  // namespace vdrift::clean

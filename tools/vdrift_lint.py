@@ -46,7 +46,7 @@ Suppressions (every one needs a rationale after the colon):
   // vdrift-lint: allow-file(check-name): why the whole file is exempt
 
 Usage:
-  tools/vdrift_lint.py                 # scan <repo>/src, human output
+  tools/vdrift_lint.py                 # scan src/, bench/, examples/
   tools/vdrift_lint.py --json          # machine-readable findings
   tools/vdrift_lint.py --self-test     # run the fixture suite
   tools/vdrift_lint.py --list-checks   # print check names + one-liners
@@ -67,6 +67,10 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DRIFT_PATH_DIRS = {"detect", "core", "pipeline", "nn"}
 
 SOURCE_EXTENSIONS = (".h", ".cc")
+
+# Trees scanned when no path is given: the library and every program
+# built from it.
+DEFAULT_SCAN_DIRS = ("src", "bench", "examples")
 
 ALLOW_RE = re.compile(r"vdrift-lint:\s*allow\(([^)]*)\)")
 ALLOW_FILE_RE = re.compile(r"vdrift-lint:\s*allow-file\(([^)]*)\)")
@@ -166,9 +170,11 @@ def split_code_comment(line, in_block_comment):
     """Returns (code, comment, in_block_comment_after).
 
     Line-based C++ comment stripping: handles // and /* */ spanning lines.
-    String literals containing comment markers are rare enough in this
-    codebase that we accept the approximation (this is a lint, not a
-    compiler).
+    String and character literals are masked to empty quotes in `code`, so
+    neither a comment marker nor a pattern inside one counts (a
+    `"... time (s) ..."` banner is not a time() call). A quote right after
+    an alphanumeric is a digit separator (1'000), not a literal; raw
+    strings are not recognized (this is a lint, not a compiler).
     """
     code = []
     comment = []
@@ -184,20 +190,23 @@ def split_code_comment(line, in_block_comment):
                 comment.append(line[i:end])
                 i = end + 2
                 in_block_comment = False
+        elif line.startswith("//", i):
+            comment.append(line[i + 2:])
+            i = n
+        elif line.startswith("/*", i):
+            i += 2
+            in_block_comment = True
+        elif line[i] == '"' or (line[i] == "'" and
+                                not (i > 0 and line[i - 1].isalnum())):
+            quote = line[i]
+            end = i + 1
+            while end < n and line[end] != quote:
+                end += 2 if line[end] == "\\" else 1
+            code.append(quote + quote)
+            i = end + 1
         else:
-            block = line.find("/*", i)
-            linec = line.find("//", i)
-            if linec >= 0 and (block < 0 or linec < block):
-                code.append(line[i:linec])
-                comment.append(line[linec + 2:])
-                i = n
-            elif block >= 0:
-                code.append(line[i:block])
-                i = block + 2
-                in_block_comment = True
-            else:
-                code.append(line[i:])
-                i = n
+            code.append(line[i])
+            i += 1
     return "".join(code), "".join(comment), in_block_comment
 
 
@@ -360,14 +369,14 @@ def gather_files(root, arguments):
             else:
                 raise RuntimeError(f"no such file or directory: {arg}")
     else:
-        src = os.path.join(root, "src")
-        if not os.path.isdir(src):
+        if not os.path.isdir(os.path.join(root, "src")):
             raise RuntimeError(f"no src/ under scan root {root}")
-        for dirpath, _, filenames in os.walk(src):
-            for name in sorted(filenames):
-                if name.endswith(SOURCE_EXTENSIONS):
-                    full = os.path.join(dirpath, name)
-                    paths.append((full, os.path.relpath(full, root)))
+        for tree in DEFAULT_SCAN_DIRS:
+            for dirpath, _, filenames in os.walk(os.path.join(root, tree)):
+                for name in sorted(filenames):
+                    if name.endswith(SOURCE_EXTENSIONS):
+                        full = os.path.join(dirpath, name)
+                        paths.append((full, os.path.relpath(full, root)))
     return sorted(paths)
 
 
@@ -451,7 +460,8 @@ def main(argv):
     parser.add_argument("--list-checks", action="store_true",
                         help="print check names and one-line rules")
     parser.add_argument("paths", nargs="*",
-                        help="files or directories (default: <root>/src)")
+                        help="files or directories (default: <root>/src, "
+                             "bench and examples)")
     args = parser.parse_args(argv)
 
     if args.list_checks:
